@@ -7,7 +7,7 @@ Failures print a single machine-parsable record to stderr:
 
     error kind=ParseError line=3 col=7 msg="expected '=', got 'a'"
 
-Exit codes: 0 success, 1 usage or parse error, 2 computation error
+Exit codes: 0 success, 1 usage, parse or file error, 2 computation error
 (orthogonal pre/post, impossible post-selection, and similar).
 """
 
@@ -32,10 +32,7 @@ from .errors import (
 from .histories import abl_probability, conditional_weight
 from .pointer import (
     PointerConfig,
-    entangle,
-    pointer_density,
-    postselect,
-    sample,
+    simulate,
     weak_value_estimate,
     write_density_csv,
     write_samples_csv,
@@ -191,13 +188,17 @@ def _cmd_weight(args) -> int:
 def _cmd_simulate(args) -> int:
     sc = load_scenario(args.source)
     obs = _pick_observable(sc, args.obs)
-    cfg = PointerConfig(delta=args.delta, x0=args.x0, coupling=args.coupling)
-    branch_state = entangle(obs, sc.pre, cfg)
-    amps, rate = postselect(branch_state, sc.post, cfg)
-    density = pointer_density(amps, cfg)
-    ens = sample(density, args.n, args.seed, args.workers)
+    if args.n < 1:
+        raise UsageError(f"--n must be at least 1, got {args.n}")
+    if not 0 <= args.seed < 2**128:
+        raise UsageError(f"--seed must be in [0, 2**128), got {args.seed}")
+    try:
+        cfg = PointerConfig(delta=args.delta, x0=args.x0, coupling=args.coupling)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    ens = simulate(obs, sc.pre, sc.post, cfg, args.n, args.seed)
     if args.density_out:
-        write_density_csv(density, args.density_out)
+        write_density_csv(ens.density, args.density_out)
     if args.samples_out:
         write_samples_csv(ens, args.samples_out)
     _emit(
@@ -210,7 +211,7 @@ def _cmd_simulate(args) -> int:
             "seed": args.seed,
             "mean": ens.mean,
             "variance": ens.variance,
-            "rate": rate,
+            "rate": ens.postselect_rate,
             "estimate": weak_value_estimate(ens, cfg),
         }
     )
@@ -270,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--x0", type=float, default=0.0)
     p.add_argument("--coupling", type=float, default=1.0)
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--density-out")
     p.add_argument("--samples-out")
 
@@ -290,6 +290,9 @@ def main(argv=None) -> int:
     except (ParseError, NormalizationError) as exc:
         msg = exc.args[0] if exc.args else str(exc)
         _emit_error(type(exc).__name__, msg, line=exc.line, col=exc.col)
+        return 1
+    except OSError as exc:
+        _emit_error(type(exc).__name__, str(exc))
         return 1
     except _COMPUTATION_ERRORS as exc:
         _emit_error(type(exc).__name__, str(exc))

@@ -2,8 +2,9 @@
 
 A history is an ordered triple of projector events d -> e -> f at successive
 times (no evolution in between).  A family pairs the history with its
-complement d -> (1-e) -> f.  The family is consistent when the interference
-functional Tr[F E D E'] vanishes; for rank-1 d and f this factors as
+complement d -> (1-e) -> f, for pure pre- and post-selections |d> and |f>.
+The family is consistent when the interference functional Tr[F E D E']
+vanishes.  For pure endpoints it is <f|E|d><d|(1-E)|f>, which factors as
 
     |<f|d>|^2 * wv(e) * conj(wv(1-e))
 
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -25,8 +27,8 @@ from .errors import (
     UndefinedWeight,
     UnknownEigenvalue,
 )
-from .linalg import CVec
-from .quantum import Observable, Projector, State, weak_value
+from .linalg import CVec, inner
+from .quantum import ORTHO_TOL, Observable, Projector, State, weak_value
 
 #: Interference functionals at or below this magnitude count as zero.
 CONSISTENCY_TOL = 1e-10
@@ -68,59 +70,45 @@ class History:
 
 @dataclass(frozen=True, eq=False)
 class Family:
-    """A history and its complement, sharing endpoints and partitioning time 1.
+    """Pure pre-selection, middle event e, pure post-selection.
 
-    Endpoints d and f must be rank-1 (pure pre/post-selection); the two
-    middle events must sum to the identity.
+    The two histories pre -> e -> post and pre -> (1-e) -> post share the
+    endpoints and partition the middle time.
     """
 
-    base: History
-    complement: History
+    pre: State
+    e: Projector
+    post: State
 
     def __post_init__(self):
-        b, c = self.base, self.complement
-        if b.d is not c.d and np.max(np.abs(b.d.mat.entries - c.d.mat.entries)) > 1e-10:
-            raise ValueError("base and complement histories disagree on d")
-        if b.f is not c.f and np.max(np.abs(b.f.mat.entries - c.f.mat.entries)) > 1e-10:
-            raise ValueError("base and complement histories disagree on f")
-        total = b.e.mat.entries + c.e.mat.entries
-        if np.max(np.abs(total - np.eye(b.dim))) > 1e-10:
-            raise ValueError("middle events do not sum to the identity")
-        if b.d.rank != 1 or b.f.rank != 1:
-            raise ValueError(
-                f"family endpoints must be rank-1, got ranks {b.d.rank} and {b.f.rank}"
-            )
+        _check_conformable(self.d, self.e, self.f)
 
-    @property
+    @cached_property
     def d(self) -> Projector:
-        return self.base.d
+        return Projector.onto(self.pre)
 
-    @property
-    def e(self) -> Projector:
-        return self.base.e
-
-    @property
+    @cached_property
     def f(self) -> Projector:
-        return self.base.f
+        return Projector.onto(self.post)
+
+    @property
+    def base(self) -> History:
+        return History(self.d, self.e, self.f)
+
+    @property
+    def complement(self) -> History:
+        return History(self.d, self.e.complement(), self.f)
 
     @classmethod
     def build(cls, d: Projector, e: Projector, f: Projector) -> "Family":
-        """Family {d -> e -> f, d -> (1-e) -> f}."""
-        return cls(History(d, e, f), History(d, e.complement(), f))
-
-    @classmethod
-    def from_states(cls, pre: State, e: Projector, post: State) -> "Family":
-        return cls.build(Projector.onto(pre), e, Projector.onto(post))
-
-
-def rank_one_vector(p: Projector) -> CVec:
-    """Unit vector spanning the range of a rank-1 projector (phase arbitrary)."""
-    if p.rank != 1:
-        raise ValueError(f"expected a rank-1 projector, got rank {p.rank}")
-    m = p.mat.entries
-    col = int(np.argmax(np.linalg.norm(m, axis=0)))
-    vec = CVec(m[:, col], p.labels)
-    return vec / vec.norm()
+        """Family {d -> e -> f, d -> (1-e) -> f} from rank-1 endpoints."""
+        if d.rank != 1 or f.rank != 1:
+            raise ValueError(
+                f"family endpoints must be rank-1, got ranks {d.rank} and {f.rank}"
+            )
+        pre = State(CVec(d.q[:, 0], d.labels))
+        post = State(CVec(f.q[:, 0], f.labels))
+        return cls(pre, e, post)
 
 
 @dataclass(frozen=True)
@@ -151,38 +139,27 @@ def _classify_functional(functional: complex, consistent: bool) -> FailureMode:
 
 
 def consistency(fam: Family) -> ConsistencyReport:
-    """Evaluate Tr[F E D E'] and classify the family.
+    """Evaluate Tr[F E D E'] = <f|E|d><d|(1-E)|f> and classify the family.
 
-    The trace form is authoritative; the weak-value factorization is
-    recomputed independently and must agree to CONSISTENCY_TOL.
+    With a = <f|E|d> and s = <f|d> the functional is a * conj(s - a), and
+    for s != 0 the weak values of e and 1-e are a/s and (s - a)/s.
     """
-    d, e, f = fam.d.mat.entries, fam.e.mat.entries, fam.f.mat.entries
-    e_prime = fam.complement.e.mat.entries
-    functional = complex(np.trace(f @ e @ d @ e_prime))
+    a = fam.e.amplitude(fam.post.vec, fam.pre.vec)
+    overlap = inner(fam.post.vec, fam.pre.vec)
+    functional = a * (overlap - a).conjugate()
     consistent = abs(functional) <= CONSISTENCY_TOL
-
-    d_vec = rank_one_vector(fam.d)
-    f_vec = rank_one_vector(fam.f)
-    overlap = np.vdot(f_vec.amps, d_vec.amps)
-    overlap_sq = float(abs(overlap) ** 2)
-    if abs(overlap) <= 1e-12:
+    if abs(overlap) <= ORTHO_TOL:
         factor_wv: Optional[complex] = None
         factor_wv_conj: Optional[complex] = None
     else:
-        pre = State(d_vec)
-        post = State(f_vec)
-        factor_wv = weak_value(fam.e, pre, post).value
-        factor_wv_conj = np.conj(weak_value(fam.complement.e, pre, post).value)
-        factored = overlap_sq * factor_wv * factor_wv_conj
-        assert abs(factored - functional) <= CONSISTENCY_TOL, (
-            f"factorization mismatch: trace {functional} vs factored {factored}"
-        )
+        factor_wv = a / overlap
+        factor_wv_conj = ((overlap - a) / overlap).conjugate()
 
     return ConsistencyReport(
         functional=functional,
         consistent=consistent,
         failure_mode=_classify_functional(functional, consistent),
-        factor_overlap_sq=overlap_sq,
+        factor_overlap_sq=abs(overlap) ** 2,
         factor_wv=factor_wv,
         factor_wv_conj=factor_wv_conj,
     )
@@ -195,26 +172,21 @@ def abl_probability(obs: Observable, pre: State, post: State, outcome: float) ->
     same quantity across all spectral projectors.
     """
     try:
-        obs.projector_for(outcome)
+        chosen = obs.projector_for(outcome)
     except KeyError:
         raise UnknownEigenvalue(
             f"{outcome!r} is not an eigenvalue of the observable"
         ) from None
-    phi = post.vec.amps
-    psi = pre.vec.amps
-    terms = {
-        lam: abs(np.vdot(phi, proj.mat.entries @ psi)) ** 2
-        for lam, proj in zip(obs.eigenvalues, obs.projectors)
-    }
-    denom = sum(terms.values())
+
+    def term(proj: Projector) -> float:
+        return abs(proj.amplitude(post.vec, pre.vec)) ** 2
+
+    denom = sum(term(proj) for proj in obs.projectors)
     if denom <= 1e-12:
         raise UndefinedABL(
             "every intermediate outcome is incompatible with this pre/post pair"
         )
-    for lam in terms:
-        if abs(lam - outcome) <= 1e-8:
-            return terms[lam] / denom
-    raise UnknownEigenvalue(f"{outcome!r} is not an eigenvalue of the observable")
+    return term(chosen) / denom
 
 
 def abl_from_weak_values(wv: complex) -> float:
@@ -230,28 +202,29 @@ def abl_from_weak_values(wv: complex) -> float:
     return num / (num + alt)
 
 
+def _transition(d: Projector, e: Projector, f: Projector) -> np.ndarray:
+    """Q_f^dagger E Q_d; its squared Frobenius norm is Tr[D E F E]."""
+    _check_conformable(d, e, f)
+    return (f.q.conj().T @ e.q) @ (e.q.conj().T @ d.q)
+
+
 def history_weight(h: History) -> float:
-    """Weight Tr[D E F E] of a single history (real by cyclic symmetry)."""
-    d, e, f = h.d.mat.entries, h.e.mat.entries, h.f.mat.entries
-    w = complex(np.trace(d @ e @ f @ e))
-    assert abs(w.imag) <= 1e-10, f"history weight has imaginary part {w.imag:.3g}"
-    return w.real
+    """Weight Tr[D E F E] of a single history, real as a squared norm."""
+    return float(np.linalg.norm(_transition(h.d, h.e, h.f)) ** 2)
 
 
 def conditional_weight(e: Projector, d: Projector, f: Projector) -> float:
     """Multiple-time conditional weight Tr[DEFE]/Tr[DF].
 
-    Equals |weak value of e|^2 when d and f are rank-1.  Not clamped to
-    [0, 1]; it is a probability only on consistent families.
+    For rank-1 d and f this is |<f|E|d>|^2 / |<f|d>|^2, the squared
+    modulus of the weak value of e.  Not clamped to [0, 1]; it is a
+    probability only on consistent families.
     """
-    _check_conformable(e, d, f)
-    dm, em, fm = d.mat.entries, e.mat.entries, f.mat.entries
-    denom = complex(np.trace(dm @ fm))
-    if abs(denom) <= 1e-12:
+    num = np.linalg.norm(_transition(d, e, f)) ** 2
+    denom = np.linalg.norm(f.q.conj().T @ d.q) ** 2
+    if denom <= 1e-12:
         raise UndefinedWeight("Tr[DF] vanishes; conditional weight undefined")
-    w = complex(np.trace(dm @ em @ fm @ em)) / denom
-    assert abs(w.imag) <= 1e-10, f"conditional weight has imaginary part {w.imag:.3g}"
-    return w.real
+    return float(num / denom)
 
 
 def abl_weight_agreement(fam: Family) -> bool:
@@ -261,9 +234,6 @@ def abl_weight_agreement(fam: Family) -> bool:
     the operational difference between sharp and unsharp intermediate
     measurements.
     """
-    pre = State(rank_one_vector(fam.d))
-    post = State(rank_one_vector(fam.f))
-    wv = weak_value(fam.e, pre, post).value
-    abl = abl_from_weak_values(wv)
+    abl = abl_from_weak_values(weak_value(fam.e, fam.pre, fam.post).value)
     weight = conditional_weight(fam.e, fam.d, fam.f)
     return abs(abl - weight) <= AGREEMENT_TOL

@@ -28,7 +28,7 @@ def index_labels(n: int) -> tuple[str, ...]:
     return tuple(str(i) for i in range(n))
 
 
-def _check_same_basis(a: "CVec | CMat", b: "CVec | CMat") -> None:
+def check_same_basis(a: "CVec | CMat", b: "CVec | CMat") -> None:
     if a.dim != b.dim:
         raise DimensionError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.labels != b.labels:
@@ -71,11 +71,11 @@ class CVec:
         )
 
     def __add__(self, other: "CVec") -> "CVec":
-        _check_same_basis(self, other)
+        check_same_basis(self, other)
         return CVec(self.amps + other.amps, self.labels)
 
     def __sub__(self, other: "CVec") -> "CVec":
-        _check_same_basis(self, other)
+        check_same_basis(self, other)
         return CVec(self.amps - other.amps, self.labels)
 
     def __mul__(self, scalar: complex) -> "CVec":
@@ -135,11 +135,11 @@ class CMat:
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
     def __add__(self, other: "CMat") -> "CMat":
-        _check_same_basis(self, other)
+        check_same_basis(self, other)
         return CMat(self.entries + other.entries, self.labels)
 
     def __sub__(self, other: "CMat") -> "CMat":
-        _check_same_basis(self, other)
+        check_same_basis(self, other)
         return CMat(self.entries - other.entries, self.labels)
 
     def __mul__(self, scalar: complex) -> "CMat":
@@ -164,23 +164,23 @@ class CMat:
 
 def inner(u: CVec, v: CVec) -> complex:
     """Hermitian inner product, conjugating the first argument."""
-    _check_same_basis(u, v)
+    check_same_basis(u, v)
     return complex(np.vdot(u.amps, v.amps))
 
 
 def outer(u: CVec, v: CVec) -> CMat:
     """Rank-one matrix with entries u_i * conj(v_j)."""
-    _check_same_basis(u, v)
+    check_same_basis(u, v)
     return CMat(np.outer(u.amps, v.amps.conj()), u.labels)
 
 
 def matmul(a: CMat, b: CMat) -> CMat:
-    _check_same_basis(a, b)
+    check_same_basis(a, b)
     return CMat(a.entries @ b.entries, a.labels)
 
 
 def apply(a: CMat, v: CVec) -> CVec:
-    _check_same_basis(a, v)
+    check_same_basis(a, v)
     return CVec(a.entries @ v.amps, v.labels)
 
 

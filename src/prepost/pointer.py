@@ -19,6 +19,7 @@ mean and post-selection rate below use these rather than the grid.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -47,8 +48,12 @@ class PointerConfig:
     grid: Optional[tuple[float, float, int]] = None
 
     def __post_init__(self):
-        if self.delta <= 0:
-            raise ValueError(f"delta must be positive, got {self.delta}")
+        if not (math.isfinite(self.delta) and self.delta > 0):
+            raise ValueError(f"delta must be positive and finite, got {self.delta}")
+        if not math.isfinite(self.x0):
+            raise ValueError(f"x0 must be finite, got {self.x0}")
+        if not (math.isfinite(self.coupling) and self.coupling != 0):
+            raise ValueError(f"coupling must be non-zero and finite, got {self.coupling}")
         if self.grid is None:
             span = 8.0 * self.delta + 2.0
             object.__setattr__(self, "grid", (self.x0 - span, self.x0 + span, 2**14))
@@ -104,7 +109,7 @@ def entangle(obs: Observable, pre: State, cfg: PointerConfig) -> BranchState:
         )
     branches = []
     for lam, proj in zip(obs.eigenvalues, obs.projectors):
-        component = CVec(proj.mat.entries @ pre.vec.amps, pre.labels)
+        component = proj.apply(pre.vec)
         if component.norm() ** 2 > BRANCH_TOL:
             branches.append(Branch(cfg.x0 + cfg.coupling * lam, component))
     return BranchState(tuple(branches))
@@ -208,26 +213,7 @@ class PointerEnsemble:
     postselect_rate: float
 
 
-def _uniforms(seed: int, n: int, workers: int) -> np.ndarray:
-    """Uniform draws, split into counter-aligned streams per worker.
-
-    Philox advances in blocks of four doubles, so chunk boundaries are kept
-    at multiples of four; the concatenation is then bit-identical to a
-    single stream for every worker count.
-    """
-    if workers <= 1:
-        return np.random.Generator(np.random.Philox(key=seed)).random(n)
-    chunk = -(-n // workers)
-    chunk += (-chunk) % 4
-    parts = []
-    for start in range(0, n, chunk):
-        bits = np.random.Philox(key=seed)
-        bits.advance(start // 4)
-        parts.append(np.random.Generator(bits).random(min(chunk, n - start)))
-    return np.concatenate(parts)
-
-
-def sample(density: Density, n: int, seed: int, workers: int = 1) -> PointerEnsemble:
+def sample(density: Density, n: int, seed: int) -> PointerEnsemble:
     """Draw n pointer readings by inverse-CDF on the tabulated density."""
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
@@ -235,7 +221,7 @@ def sample(density: Density, n: int, seed: int, workers: int = 1) -> PointerEnse
     widths = np.diff(xs)
     cdf = np.concatenate(([0.0], np.cumsum((ps[1:] + ps[:-1]) / 2.0 * widths)))
     cdf /= cdf[-1]
-    u = _uniforms(seed, n, workers)
+    u = np.random.Generator(np.random.Philox(key=seed)).random(n)
     idx = np.searchsorted(cdf, u, side="right")
     idx = np.clip(idx, 1, len(cdf) - 1)
     seg = cdf[idx] - cdf[idx - 1]
@@ -262,13 +248,12 @@ def simulate(
     cfg: PointerConfig,
     n: int,
     seed: int,
-    workers: int = 1,
 ) -> PointerEnsemble:
     """Full pipeline: entangle, post-select, tabulate the density, sample it."""
     bs = entangle(obs, pre, cfg)
     amps, _ = postselect(bs, post, cfg)
     density = pointer_density(amps, cfg)
-    return sample(density, n, seed, workers)
+    return sample(density, n, seed)
 
 
 def write_density_csv(density: Density, path: str):

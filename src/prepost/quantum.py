@@ -11,14 +11,15 @@ operator's eigenvalue set:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import NormalizationError, NotHermitian, UndefinedWeakValue
-from .linalg import ATOL, CMat, CVec, apply, inner, outer
+from .errors import DimensionError, NormalizationError, NotHermitian, UndefinedWeakValue
+from .linalg import ATOL, CMat, CVec, apply, check_same_basis, index_labels, inner
 
 #: Eigenvalues closer than this are merged into one degenerate projector.
 DEGENERACY_TOL = 1e-8
@@ -69,29 +70,68 @@ class State:
 
 @dataclass(frozen=True, eq=False)
 class Projector:
-    """Hermitian idempotent matrix; rank is recovered from the trace."""
+    """Orthogonal projector QQ^dagger, held as orthonormal columns Q (n x r).
 
-    mat: CMat
-    rank: int = field(init=False)
+    The rank is the column count.  The dense matrix is built only when
+    `mat` is read; applying the projector costs O(n r) as Q(Q^dagger v).
+    """
+
+    q: np.ndarray
+    labels: tuple[str, ...] = ()
 
     def __post_init__(self):
-        m = self.mat.entries
-        if self.mat.hermiticity_defect() > ATOL:
-            raise NotHermitian("projector matrix is not Hermitian")
-        if np.max(np.abs(m @ m - m)) > ATOL:
-            raise ValueError("projector matrix is not idempotent")
-        object.__setattr__(self, "rank", int(round(np.trace(m).real)))
+        q = np.array(self.q, dtype=complex)
+        if q.ndim != 2:
+            raise DimensionError(f"projector columns must form a matrix, got {q.shape}")
+        labels = tuple(self.labels) if self.labels else index_labels(q.shape[0])
+        if len(labels) != q.shape[0]:
+            raise DimensionError(f"{len(labels)} labels for dimension {q.shape[0]}")
+        if np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) > ATOL:
+            raise ValueError("projector columns are not orthonormal")
+        q.setflags(write=False)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "labels", labels)
+
+    @classmethod
+    def _of_checked(cls, q: np.ndarray, labels: tuple[str, ...]) -> "Projector":
+        """Wrap read-only columns whose orthonormality the caller checks."""
+        proj = object.__new__(cls)
+        object.__setattr__(proj, "q", q)
+        object.__setattr__(proj, "labels", labels)
+        return proj
+
+    @property
+    def rank(self) -> int:
+        return self.q.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.mat.dim
+        return self.q.shape[0]
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.mat.labels
+    @cached_property
+    def mat(self) -> CMat:
+        return CMat(self.q @ self.q.conj().T, self.labels)
+
+    def apply(self, vec: CVec) -> CVec:
+        """P|vec>, computed as Q(Q^dagger vec)."""
+        check_same_basis(self, vec)
+        return CVec(self.q @ (self.q.conj().T @ vec.amps), vec.labels)
+
+    def amplitude(self, bra: CVec, ket: CVec) -> complex:
+        """<bra|P|ket>, computed as (Q^dagger bra)^dagger (Q^dagger ket)."""
+        check_same_basis(self, bra)
+        check_same_basis(self, ket)
+        qh = self.q.conj().T
+        return complex(np.vdot(qh @ bra.amps, qh @ ket.amps))
 
     def complement(self) -> "Projector":
-        return Projector(CMat.identity(self.labels) - self.mat)
+        """Projector onto the orthogonal complement of the range."""
+        n, r = self.q.shape
+        if np.count_nonzero(self.q) == r:
+            # every column is a basis vector: the complement takes the others
+            return Projector(np.eye(n)[:, ~self.q.any(axis=1)], self.labels)
+        full = np.linalg.qr(self.q, mode="complete")[0]
+        return Projector(full[:, r:], self.labels)
 
     def eigenvalue_set(self) -> tuple[float, ...]:
         """Spectrum actually attained: 0 and/or 1 depending on rank."""
@@ -109,33 +149,28 @@ class Projector:
         norm = vec.norm()
         if norm <= ORTHO_TOL:
             raise ValueError("cannot project onto the zero vector")
-        vec = vec / norm
-        return cls(outer(vec, vec))
+        return cls((vec.amps / norm)[:, None], vec.labels)
 
     @classmethod
     def span(cls, vectors: Sequence[CVec]) -> "Projector":
         """Projector onto the span of the given vectors (orthonormalized)."""
         if not vectors:
             raise ValueError("span requires at least one vector")
-        labels = vectors[0].labels
         cols = np.column_stack([v.amps for v in vectors])
         q, r = np.linalg.qr(cols)
         keep = np.abs(np.diag(r)) > 1e-12
-        q = q[:, keep]
-        return cls(CMat(q @ q.conj().T, labels))
+        return cls(q[:, keep], vectors[0].labels)
 
     @classmethod
     def on_labels(cls, labels: Sequence[str], subset: Sequence[str]) -> "Projector":
         """Diagonal projector onto a subset of the basis labels."""
         labels = tuple(labels)
-        diag = np.zeros(len(labels), dtype=complex)
-        for name in subset:
-            diag[labels.index(name)] = 1.0
-        return cls(CMat(np.diag(diag), labels))
+        columns = sorted({labels.index(name) for name in subset})
+        return cls(np.eye(len(labels))[:, columns], labels)
 
     @classmethod
     def identity(cls, labels: Sequence[str]) -> "Projector":
-        return cls(CMat.identity(labels))
+        return cls(np.eye(len(labels)), labels)
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,7 +179,8 @@ class Observable:
 
     `eigenvalues` are the distinct eigenvalues in ascending order and
     `projectors` the matching spectral projectors (degenerate eigenvalues
-    share one higher-rank projector).
+    share one higher-rank projector).  Side by side, the projectors'
+    columns must form a unitary matrix.
     """
 
     mat: CMat
@@ -152,20 +188,20 @@ class Observable:
     projectors: tuple[Projector, ...]
 
     def __post_init__(self):
-        if self.mat.hermiticity_defect() > ATOL:
-            raise NotHermitian("observable matrix is not Hermitian")
+        defect = self.mat.hermiticity_defect()
+        if defect > ATOL:
+            raise NotHermitian(f"observable matrix deviates from Hermitian by {defect:.3g}")
         if len(self.eigenvalues) != len(self.projectors):
             raise ValueError("eigenvalue list and projector list differ in length")
         if list(self.eigenvalues) != sorted(self.eigenvalues):
             raise ValueError("eigenvalues must be ascending")
-        total = np.zeros((self.mat.dim, self.mat.dim), dtype=complex)
-        for i, p in enumerate(self.projectors):
-            total += p.mat.entries
-            for q in self.projectors[i + 1 :]:
-                if np.max(np.abs(p.mat.entries @ q.mat.entries)) > ATOL:
-                    raise ValueError("spectral projectors are not orthogonal")
-        if np.max(np.abs(total - np.eye(self.mat.dim))) > ATOL:
-            raise ValueError("spectral projectors do not sum to the identity")
+        v = np.hstack([p.q for p in self.projectors])
+        if v.shape[1] != self.dim:
+            raise ValueError(
+                f"spectral projector ranks sum to {v.shape[1]}, not to the dimension {self.dim}"
+            )
+        if np.max(np.abs(v.conj().T @ v - np.eye(self.dim))) > ATOL:
+            raise ValueError("spectral projectors are not mutually orthogonal")
 
     @property
     def dim(self) -> int:
@@ -191,23 +227,18 @@ def spectral_decompose(mat: CMat) -> Observable:
 
     Eigenvalues within DEGENERACY_TOL of each other are merged into a single
     rank-k projector, so exactly degenerate operators come out with the
-    expected multiplicities despite numerical jitter.
+    expected multiplicities despite numerical jitter.  A non-Hermitian
+    matrix raises NotHermitian.
     """
-    if mat.hermiticity_defect() > ATOL:
-        raise NotHermitian(
-            f"matrix deviates from Hermitian by {mat.hermiticity_defect():.3g}"
-        )
     w, v = np.linalg.eigh(mat.entries)
-    eigenvalues: list[float] = []
-    projectors: list[Projector] = []
-    start = 0
-    for stop in range(1, len(w) + 1):
-        if stop == len(w) or w[stop] - w[stop - 1] > DEGENERACY_TOL:
-            block = v[:, start:stop]
-            eigenvalues.append(float(np.mean(w[start:stop])))
-            projectors.append(Projector(CMat(block @ block.conj().T, mat.labels)))
-            start = stop
-    return Observable(mat, tuple(eigenvalues), tuple(projectors))
+    v.setflags(write=False)
+    cuts = [0, *(np.flatnonzero(np.diff(w) > DEGENERACY_TOL) + 1).tolist(), len(w)]
+    means = np.add.reduceat(w, cuts[:-1]) / np.diff(cuts)
+    # Observable checks all of eigh's columns at once, so no block checks its own
+    projectors = tuple(
+        Projector._of_checked(v[:, a:b], mat.labels) for a, b in zip(cuts, cuts[1:])
+    )
+    return Observable(mat, tuple(means.tolist()), projectors)
 
 
 def as_observable(op: OperatorLike) -> Observable:
@@ -223,14 +254,6 @@ def as_observable(op: OperatorLike) -> Observable:
         eigenvalues = tuple(lam for lam, _ in pairs)
         projectors = tuple(p for _, p in pairs)
         return Observable(op.mat, eigenvalues, projectors)
-    raise TypeError(f"expected Observable or Projector, got {type(op).__name__}")
-
-
-def _operator_parts(op: OperatorLike) -> tuple[CMat, tuple[float, ...]]:
-    if isinstance(op, Projector):
-        return op.mat, op.eigenvalue_set()
-    if isinstance(op, Observable):
-        return op.mat, op.eigenvalues
     raise TypeError(f"expected Observable or Projector, got {type(op).__name__}")
 
 
@@ -265,28 +288,16 @@ def weak_value(op: OperatorLike, pre: State, post: State) -> WeakValueReport:
 
     Raises UndefinedWeakValue when pre and post are orthogonal.
     """
-    mat, eigenvalues = _operator_parts(op)
+    if not isinstance(op, (Observable, Projector)):
+        raise TypeError(f"expected Observable or Projector, got {type(op).__name__}")
     overlap = inner(post.vec, pre.vec)
     if abs(overlap) <= ORTHO_TOL:
         raise UndefinedWeakValue(
             "pre- and post-selection states are orthogonal; weak value undefined"
         )
-    value = inner(post.vec, apply(mat, pre.vec)) / overlap
+    if isinstance(op, Projector):
+        numerator, eigenvalues = op.amplitude(post.vec, pre.vec), op.eigenvalue_set()
+    else:
+        numerator, eigenvalues = inner(post.vec, apply(op.mat, pre.vec)), op.eigenvalues
+    value = numerator / overlap
     return WeakValueReport(value, classify(value, eigenvalues), overlap)
-
-
-def weak_value_sum(a: OperatorLike, b: OperatorLike, pre: State, post: State) -> complex:
-    """Weak value of the operator sum a + b.
-
-    By linearity this equals weak_value(a) + weak_value(b); computing it on
-    the summed matrix keeps the two routes independent for testing.
-    """
-    mat_a, _ = _operator_parts(a)
-    mat_b, _ = _operator_parts(b)
-    total = mat_a + mat_b
-    overlap = inner(post.vec, pre.vec)
-    if abs(overlap) <= ORTHO_TOL:
-        raise UndefinedWeakValue(
-            "pre- and post-selection states are orthogonal; weak value undefined"
-        )
-    return inner(post.vec, apply(total, pre.vec)) / overlap

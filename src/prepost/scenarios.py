@@ -100,7 +100,7 @@ class Scenario:
 
     def family_for(self, obs_name: str) -> Family:
         """Family with the observable's eigenvalue-1 projector as the event."""
-        return Family.from_states(self.pre, self._eigenvalue_one_projector(obs_name), self.post)
+        return Family(self.pre, self._eigenvalue_one_projector(obs_name), self.post)
 
     def consistency_for(self, obs_name: str) -> ConsistencyReport:
         return consistency(self.family_for(obs_name))
@@ -198,9 +198,7 @@ def hardy() -> Scenario:
     # Annihilation removes the both-overlapping component; the remainder,
     # renormalized, is the pre-selection state.
     survive = projectors["N2"].complement()
-    pre = State.normalized(
-        CVec(survive.mat.entries @ product.vec.amps, labels), label="psi"
-    )
+    pre = State.normalized(survive.apply(product.vec), label="psi")
     post = State(
         CVec(np.array([1.0, -1.0, -1.0, 1.0]) / 2.0, labels), "phi"
     )

@@ -530,9 +530,10 @@ def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
                 raise ParseError(
                     f"observable {ob.name!r} repeats eigenvalue {l1:g}", ob.line
                 )
-        mat = CMat(
-            sum(lam * p.mat.entries for lam, p in pairs), doc.basis
-        )
+        # V diag(lambda) V^dagger, with V the projectors' columns side by side
+        v = np.hstack([p.q for _, p in pairs])
+        lams = np.concatenate([np.full(p.rank, lam) for lam, p in pairs])
+        mat = CMat((v * lams) @ v.conj().T, doc.basis)
         try:
             observables[ob.name] = Observable(
                 mat, tuple(lam for lam, _ in pairs), tuple(p for _, p in pairs)

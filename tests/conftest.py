@@ -73,7 +73,7 @@ def random_projector(rng, dim: int, rank: int | None = None) -> Projector:
     if rank is None:
         rank = int(rng.integers(1, dim))
     cols = _haar_columns(rng, dim)[:, :rank]
-    return Projector(CMat(cols @ cols.conj().T, index_labels(dim)))
+    return Projector(cols, index_labels(dim))
 
 
 def _basis_through(rng, vec: CVec) -> np.ndarray:
@@ -93,7 +93,7 @@ def projector_containing(rng, vec: CVec, rank: int | None = None) -> Projector:
         rank = int(rng.integers(1, dim))
     q = _basis_through(rng, vec)
     cols = q[:, :rank]
-    return Projector(CMat(cols @ cols.conj().T, vec.labels))
+    return Projector(cols, vec.labels)
 
 
 def projector_orthogonal_to(rng, vec: CVec, rank: int | None = None) -> Projector:
@@ -103,4 +103,4 @@ def projector_orthogonal_to(rng, vec: CVec, rank: int | None = None) -> Projecto
         rank = int(rng.integers(1, dim))
     q = _basis_through(rng, vec)
     cols = q[:, 1 : 1 + rank]
-    return Projector(CMat(cols @ cols.conj().T, vec.labels))
+    return Projector(cols, vec.labels)

@@ -161,6 +161,9 @@ def test_weakvalue_from_serialized_builtin_file(capsys, tmp_path):
     assert d["scenario"] == "boxes"
 
 
+SIMULATE = ("simulate", "builtin:three-box", "--obs", "C", "--n", "10")
+
+
 @pytest.mark.parametrize(
     "argv, kind",
     [
@@ -169,12 +172,19 @@ def test_weakvalue_from_serialized_builtin_file(capsys, tmp_path):
         (("weakvalue", "builtin:three-box", "--obs", "Q"), "Usage"),
         (("weakvalue", "builtin:three-box"), "Usage"),
         (("abl", "builtin:three-box", "--obs", "C", "--outcome", "5"), "Usage"),
+        (SIMULATE + ("--delta", "0"), "Usage"),
+        (SIMULATE + ("--delta", "nan"), "Usage"),
+        (SIMULATE + ("--n", "0"), "Usage"),
+        (SIMULATE + ("--seed", "-1"), "Usage"),
+        (SIMULATE + ("--samples-out", "/missing/dir/x.csv"), "FileNotFoundError"),
+        (SIMULATE + ("--coupling", "0"), "Usage"),
     ],
 )
 def test_usage_errors_exit_one(capsys, argv, kind):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1
     assert out == ""
+    assert len(err.splitlines()) == 1
     assert err.startswith(f"error kind={kind} ")
 
 

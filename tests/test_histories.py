@@ -18,7 +18,6 @@ from prepost import (
     conditional_weight,
     consistency,
     history_weight,
-    rank_one_vector,
     spectral_decompose,
     three_box,
     weak_value,
@@ -61,15 +60,6 @@ def test_family_complement_partitions_identity():
     assert fam.d.rank == 1 and fam.f.rank == 1
 
 
-def test_rank_one_vector_recovers_direction(rng):
-    s = random_state(rng, 4)
-    vec = rank_one_vector(Projector.onto(s))
-    overlap = abs(np.vdot(vec.amps, s.vec.amps))
-    assert overlap == pytest.approx(1.0, abs=1e-10)
-    with pytest.raises(ValueError):
-        rank_one_vector(Projector.identity(("a", "b")))
-
-
 def test_box_c_family_is_inconsistent_and_strange():
     sc, fam = _three_box_family()
     report = consistency(fam)
@@ -85,7 +75,7 @@ def test_event_absorbing_the_preselection_gives_consistency(rng):
     for dim in (2, 3, 4):
         pre, post = random_state_pair(rng, dim)
         e = projector_containing(rng, pre.vec)
-        fam = Family.from_states(pre, e, post)
+        fam = Family(pre, e, post)
         report = consistency(fam)
         assert report.consistent
         assert report.failure_mode is FailureMode.NONE
@@ -95,7 +85,7 @@ def test_event_absorbing_the_preselection_gives_consistency(rng):
 def test_event_orthogonal_to_the_preselection_gives_consistency(rng):
     pre, post = random_state_pair(rng, 4)
     e = projector_orthogonal_to(rng, pre.vec)
-    report = consistency(Family.from_states(pre, e, post))
+    report = consistency(Family(pre, e, post))
     assert report.consistent
     assert report.factor_wv == pytest.approx(0.0, abs=1e-9)
 
@@ -106,7 +96,7 @@ def test_repeated_endpoint_gives_unsharp_failure(rng):
     e = random_projector(rng, 3, rank=1)
     p = float(np.real(np.vdot(pre.vec.amps, e.mat.entries @ pre.vec.amps)))
     assert 0.0 < p < 1.0
-    report = consistency(Family.from_states(pre, e, pre))
+    report = consistency(Family(pre, e, pre))
     assert not report.consistent
     assert report.failure_mode is FailureMode.UNSHARP
     assert report.functional == pytest.approx(p * (1 - p), abs=1e-10)
@@ -126,15 +116,37 @@ def test_orthogonal_endpoints_leave_factors_undefined():
 
 
 def test_trace_and_factored_forms_agree_on_random_families(rng):
+    # the dense Tr[F E D E'] is the reference, for rank-1 and higher-rank e
+    ranks = set()
     for _ in range(200):
         dim = int(rng.integers(2, 7))
         pre, post = random_state_pair(rng, dim)
         e = random_projector(rng, dim)
-        report = consistency(Family.from_states(pre, e, post))
+        ranks.add(e.rank)
+        report = consistency(Family(pre, e, post))
         factored = (
             report.factor_overlap_sq * report.factor_wv * report.factor_wv_conj
         )
-        assert abs(factored - report.functional) <= 1e-10
+        d = np.outer(pre.vec.amps, pre.vec.amps.conj())
+        f = np.outer(post.vec.amps, post.vec.amps.conj())
+        em = e.q @ e.q.conj().T
+        trace = np.trace(f @ em @ d @ (np.eye(dim) - em))
+        assert abs(report.functional - trace) <= 1e-12
+        assert abs(factored - trace) <= 1e-10
+    assert 1 in ranks and max(ranks) > 1
+
+
+def test_projectors_stay_columns_until_mat_is_read(rng):
+    pre, post = random_state_pair(rng, 6)
+    obs = spectral_decompose(random_hermitian(rng, 6))
+    fam = Family(pre, obs.projectors[0], post)
+    weak_value(obs.projectors[0], pre, post)
+    abl_probability(obs, pre, post, obs.eigenvalues[0])
+    consistency(fam)
+    conditional_weight(fam.e, fam.d, fam.f)
+    abl_weight_agreement(fam)
+    for p in (*obs.projectors, fam.d, fam.f):
+        assert "mat" not in vars(p)
 
 
 def test_abl_probability_three_box():
@@ -268,7 +280,7 @@ def test_conditional_weight_is_squared_weak_value(rng):
 
 def test_abl_weight_agreement_on_consistent_family(rng):
     pre, post = random_state_pair(rng, 4)
-    fam = Family.from_states(pre, projector_containing(rng, pre.vec), post)
+    fam = Family(pre, projector_containing(rng, pre.vec), post)
     assert abl_weight_agreement(fam)
 
 

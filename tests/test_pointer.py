@@ -38,6 +38,10 @@ def _three_box_amps(cfg):
 def test_config_validation():
     with pytest.raises(ValueError):
         PointerConfig(delta=0.0)
+    for bad in ({"delta": float("nan")}, {"delta": float("inf")},
+                {"delta": 1.0, "x0": float("inf")}, {"delta": 1.0, "coupling": 0.0}):
+        with pytest.raises(ValueError):
+            PointerConfig(**bad)
     with pytest.raises(ValueError):
         PointerConfig(delta=1.0, grid=(0.0, 1.0, 1))
     with pytest.raises(ValueError):
@@ -224,16 +228,6 @@ def test_sampling_is_deterministic_and_seed_sensitive():
     # seeds agree statistically
     spread = np.sqrt(a.variance / 5000 + c.variance / 5000)
     assert abs(a.mean - c.mean) < 6 * spread
-
-
-def test_sampling_is_worker_count_invariant():
-    cfg = PointerConfig(delta=2.0)
-    amps, _ = _three_box_amps(cfg)
-    density = pointer_density(amps, cfg)
-    reference = sample(density, 1003, seed=3, workers=1).samples
-    for workers in (2, 3, 4, 7):
-        parallel = sample(density, 1003, seed=3, workers=workers).samples
-        assert np.array_equal(reference, parallel)
 
 
 def test_single_sample_stays_on_grid():

@@ -15,8 +15,8 @@ from prepost import (
     classify,
     spectral_decompose,
     weak_value,
-    weak_value_sum,
 )
+from prepost.quantum import DEGENERACY_TOL
 
 from conftest import (
     random_hermitian,
@@ -68,10 +68,13 @@ def test_projector_on_labels_and_identity():
 
 
 def test_projector_rejects_bad_matrices():
-    with pytest.raises(NotHermitian):
-        Projector(CMat(np.array([[0.0, 1.0], [0.0, 0.0]])))
+    # columns must be orthonormal: Q^dagger Q = I
     with pytest.raises(ValueError):
-        Projector(CMat(np.diag([1.0, 0.5])))
+        Projector(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    with pytest.raises(ValueError):
+        Projector(np.diag([1.0, 0.5]))
+    with pytest.raises(ValueError):
+        Projector(np.column_stack([[1.0, 0.0], np.array([1.0, 1.0]) / np.sqrt(2.0)]))
 
 
 def test_spectral_decompose_reconstructs(rng):
@@ -86,10 +89,16 @@ def test_spectral_decompose_reconstructs(rng):
         assert sum(p.rank for p in obs.projectors) == dim
 
 
-def test_spectral_decompose_merges_degeneracies():
+def test_spectral_decompose_merges_degeneracies(rng):
     obs = spectral_decompose(CMat(np.diag([1.0, 1.0, 0.0])))
     assert obs.eigenvalues == (0.0, 1.0)
     assert tuple(p.rank for p in obs.projectors) == (1, 2)
+    # in a random basis, a gap below DEGENERACY_TOL merges and one above splits
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    for gap, ranks in ((DEGENERACY_TOL / 10, (1, 2)), (DEGENERACY_TOL * 10, (1, 1, 1))):
+        m = (u * np.array([0.0, 1.0, 1.0 + gap])) @ u.conj().T
+        obs = spectral_decompose(CMat((m + m.conj().T) / 2.0))
+        assert tuple(p.rank for p in obs.projectors) == ranks
 
 
 def test_spectral_decompose_rejects_nonhermitian():
@@ -101,8 +110,16 @@ def test_observable_validates_projector_data():
     p = Projector.on_labels(("a", "b"), ("a",))
     with pytest.raises(ValueError):
         Observable(CMat(np.diag([1.0, 0.0])), (1.0, 0.0), (p, p.complement()))
+    # overlapping projectors
     with pytest.raises(ValueError):
         Observable(CMat(np.diag([1.0, 0.0])), (0.0, 1.0), (p, p))
+    # projectors that do not resolve the identity
+    mat = CMat(np.diag([1.0, 0.0]), ("a", "b"))
+    with pytest.raises(ValueError):
+        Observable(mat, (1.0,), (p,))
+    tilted = Projector.onto(CVec(np.array([1.0, 1.0]), ("a", "b")))
+    with pytest.raises(ValueError):
+        Observable(mat, (0.0, 1.0), (tilted, p))
 
 
 def test_as_observable_on_projectors():
@@ -172,7 +189,7 @@ def test_weak_value_sum_matches_linearity(rng):
     pre, post = random_state_pair(rng, 3)
     a = spectral_decompose(random_hermitian(rng, 3))
     b = spectral_decompose(random_hermitian(rng, 3))
-    summed = weak_value_sum(a, b, pre, post)
+    summed = weak_value(spectral_decompose(a.mat + b.mat), pre, post).value
     parts = weak_value(a, pre, post).value + weak_value(b, pre, post).value
     assert summed == pytest.approx(parts, abs=1e-12)
 
