@@ -18,8 +18,9 @@ mean and post-selection rate below use these rather than the grid.
 
 from __future__ import annotations
 
-import csv
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -31,6 +32,10 @@ from .quantum import Observable, State
 
 #: Branches with squared norm at or below this are dropped as empty.
 BRANCH_TOL = 1e-12
+
+#: Draws per sampling chunk.  A multiple of 4, so every chunk starts on a
+#: Philox counter block (each counter value yields four 64-bit outputs).
+_CHUNK = 2**18
 
 
 @dataclass(frozen=True)
@@ -213,20 +218,50 @@ class PointerEnsemble:
     postselect_rate: float
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def sample(density: Density, n: int, seed: int) -> PointerEnsemble:
-    """Draw n pointer readings by inverse-CDF on the tabulated density."""
+    """Draw n pointer readings by inverse-CDF on the tabulated density.
+
+    The uniforms are one Philox stream keyed by seed.  Chunks of `_CHUNK`
+    draws jump to their own offset in that stream, so they can be filled
+    on every usable core and the result is the same as a single pass.
+    """
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
     xs, ps = density.xs, density.ps
-    widths = np.diff(xs)
-    cdf = np.concatenate(([0.0], np.cumsum((ps[1:] + ps[:-1]) / 2.0 * widths)))
+    cdf = np.concatenate(([0.0], np.cumsum((ps[1:] + ps[:-1]) / 2.0 * np.diff(xs))))
     cdf /= cdf[-1]
-    u = np.random.Generator(np.random.Philox(key=seed)).random(n)
-    idx = np.searchsorted(cdf, u, side="right")
-    idx = np.clip(idx, 1, len(cdf) - 1)
-    seg = cdf[idx] - cdf[idx - 1]
-    frac = (u - cdf[idx - 1]) / np.where(seg > 0, seg, 1.0)
-    draws = xs[idx - 1] + frac * widths[idx - 1]
+    draws = np.empty(n)
+    starts = range(0, n, _CHUNK)
+    errors: list[BaseException] = []
+
+    def fill(share: range):
+        try:
+            for lo in share:
+                hi = min(lo + _CHUNK, n)
+                bits = np.random.Philox(key=seed).advance(lo // 4)
+                draws[lo:hi] = np.interp(np.random.Generator(bits).random(hi - lo), cdf, xs)
+        except BaseException as exc:  # re-raised by the caller after the join
+            errors.append(exc)
+
+    workers = min(_usable_cores(), len(starts))
+    threads = [
+        threading.Thread(target=fill, args=(starts[k::workers],)) for k in range(1, workers)
+    ]
+    for thread in threads:
+        thread.start()
+    fill(starts[0::workers])
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
     return PointerEnsemble(
         samples=draws,
         mean=float(np.mean(draws)),
@@ -256,17 +291,16 @@ def simulate(
     return sample(density, n, seed)
 
 
-def write_density_csv(density: Density, path: str):
+def _write_csv(path: str, header: str, rows):
+    """Write the header and rows with csv.writer's default \\r\\n line ending."""
     with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["x", "p_x"])
-        for x, p in zip(density.xs, density.ps):
-            writer.writerow([repr(float(x)), repr(float(p))])
+        handle.write(header + "\r\n" + "".join(rows))
+
+
+def write_density_csv(density: Density, path: str):
+    rows = zip(density.xs.tolist(), density.ps.tolist())
+    _write_csv(path, "x,p_x", [f"{x!r},{p!r}\r\n" for x, p in rows])
 
 
 def write_samples_csv(ens: PointerEnsemble, path: str):
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["index", "x"])
-        for i, x in enumerate(ens.samples):
-            writer.writerow([i, repr(float(x))])
+    _write_csv(path, "index,x", [f"{i},{x!r}\r\n" for i, x in enumerate(ens.samples.tolist())])

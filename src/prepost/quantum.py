@@ -157,9 +157,8 @@ class Projector:
         if not vectors:
             raise ValueError("span requires at least one vector")
         cols = np.column_stack([v.amps for v in vectors])
-        q, r = np.linalg.qr(cols)
-        keep = np.abs(np.diag(r)) > 1e-12
-        return cls(q[:, keep], vectors[0].labels)
+        u, s, _ = np.linalg.svd(cols, full_matrices=False)
+        return cls(u[:, s > 1e-12], vectors[0].labels)
 
     @classmethod
     def on_labels(cls, labels: Sequence[str], subset: Sequence[str]) -> "Projector":

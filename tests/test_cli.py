@@ -226,3 +226,18 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "wv.re = -1" in proc.stdout
+
+
+def test_import_loads_no_executor_modules():
+    # startup cost shows on every short scencli process; the sampler's
+    # threads come from `threading`, which numpy has already imported
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import prepost, sys; "
+         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
+         "if m in sys.modules))"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,3 +1,8 @@
+import csv
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -7,6 +12,7 @@ from prepost import (
     DimensionError,
     PointerConfig,
     PostSelectionImpossible,
+    PointerEnsemble,
     Projector,
     State,
     as_observable,
@@ -25,6 +31,8 @@ from prepost import (
     write_density_csv,
     write_samples_csv,
 )
+
+from prepost.pointer import Density, _CHUNK
 
 from conftest import random_state_pair
 
@@ -239,6 +247,86 @@ def test_single_sample_stays_on_grid():
         sample(density, 0, seed=0)
 
 
+def _one_stream_reference(density, n, seed):
+    xs, ps = density.xs, density.ps
+    cdf = np.concatenate(([0.0], np.cumsum((ps[1:] + ps[:-1]) / 2.0 * np.diff(xs))))
+    cdf /= cdf[-1]
+    u = np.random.Generator(np.random.Philox(key=seed)).random(n)
+    return np.interp(u, cdf, xs)
+
+
+def _report_cores(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+
+
+@pytest.mark.parametrize("n", [3 * _CHUNK + 5, 1])
+def test_sample_equals_one_philox_stream(monkeypatch, n):
+    _report_cores(monkeypatch, 4)
+    cfg = PointerConfig(delta=1.0)
+    density = pointer_density(_three_box_amps(cfg)[0], cfg)
+    seed = 2**128 - 7
+    ens = sample(density, n, seed)
+    assert np.array_equal(ens.samples, _one_stream_reference(density, n, seed))
+
+
+def test_sample_does_not_depend_on_core_count(monkeypatch):
+    cfg = PointerConfig(delta=10.0)
+    density = pointer_density(_three_box_amps(cfg)[0], cfg)
+    n = 3 * _CHUNK + 5  # four chunks
+    real_interp = np.interp
+    names = set()
+
+    def traced_interp(*args):
+        names.add(threading.current_thread().name)
+        return real_interp(*args)
+
+    monkeypatch.setattr(np, "interp", traced_interp)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runs = {}
+        for cores in (1, 4):
+            _report_cores(monkeypatch, cores)
+            names.clear()
+            runs[cores] = sample(density, n, seed=5)
+            assert len(names) == cores
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        names.clear()
+        runs[3] = sample(density, n, seed=5)
+        assert len(names) == 3
+        _report_cores(monkeypatch, 64)
+        names.clear()
+        sample(density, 5, seed=5)
+        assert len(names) == 1  # never more workers than chunks
+    finally:
+        sys.setswitchinterval(interval)
+    for ens in (runs[4], runs[3]):
+        assert np.array_equal(ens.samples, runs[1].samples)
+        assert ens.mean == runs[1].mean
+        assert ens.variance == runs[1].variance
+
+
+@pytest.mark.parametrize("where", ["caller", "worker"])
+def test_sample_raises_a_chunk_failure(monkeypatch, where):
+    _report_cores(monkeypatch, 4)
+    cfg = PointerConfig(delta=1.0)
+    density = pointer_density(_three_box_amps(cfg)[0], cfg)
+    real_interp = np.interp
+
+    def failing_interp(*args):
+        in_caller = threading.current_thread() is threading.main_thread()
+        if in_caller == (where == "caller"):
+            raise RuntimeError("injected chunk failure")
+        return real_interp(*args)
+
+    monkeypatch.setattr(np, "interp", failing_interp)
+    threads_before = threading.active_count()
+    with pytest.raises(RuntimeError, match="injected chunk failure"):
+        sample(density, 4 * _CHUNK, seed=3)
+    assert threading.active_count() == threads_before
+
+
 def test_sample_mean_tracks_exact_mean():
     cfg = PointerConfig(delta=10.0)
     amps, _ = _three_box_amps(cfg)
@@ -293,3 +381,27 @@ def test_csv_exports_are_deterministic(tmp_path):
     first = dpath.read_bytes()
     write_density_csv(density, str(dpath))
     assert dpath.read_bytes() == first
+
+
+def test_csv_bytes_match_csv_writer(tmp_path):
+    xs, ps = np.array([-1.5, -0.0, 0.1, 1e-300]), np.array([0.0, -0.0, 1 / 3, 2.5e22])
+    density = Density(xs, ps, 1.0)
+    samples = np.array([-0.0, 1 / 3, -2.5e-17, 4.0, 1e22, -7.25])
+    ens = PointerEnsemble(samples, 0.0, 0.0, density, 1.0)
+
+    def reference(path, header, rows):
+        with open(path, "w", newline="") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(header)
+            writer.writerows(rows)
+        return path.read_bytes()
+
+    dref = reference(tmp_path / "dref.csv", ["x", "p_x"],
+                     ([repr(float(x)), repr(float(p))] for x, p in zip(density.xs, density.ps)))
+    sref = reference(tmp_path / "sref.csv", ["index", "x"],
+                     ([i, repr(float(x))] for i, x in enumerate(ens.samples)))
+    write_density_csv(density, str(tmp_path / "density.csv"))
+    write_samples_csv(ens, str(tmp_path / "samples.csv"))
+    assert (tmp_path / "density.csv").read_bytes() == dref
+    assert (tmp_path / "samples.csv").read_bytes() == sref
+    assert b"-0.0" in dref and b"-0.0" in sref

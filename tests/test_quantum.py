@@ -54,6 +54,11 @@ def test_projector_span_handles_dependent_vectors(rng):
     p2 = Projector.span([v, w])
     assert p2.rank == 2
     assert np.allclose(p2.mat.entries @ v.amps, v.amps)
+    # a dependent vector ahead of an independent one keeps both directions
+    e0, e1 = CVec(np.array([1.0, 0.0, 0.0])), CVec(np.array([0.0, 1.0, 0.0]))
+    p3 = Projector.span([e0, 2.0 * e0, e1])
+    assert p3.rank == 2
+    assert np.allclose(p3.mat.entries, np.diag([1.0, 1.0, 0.0]))
 
 
 def test_projector_on_labels_and_identity():

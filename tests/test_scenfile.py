@@ -233,6 +233,22 @@ obs O = 1*Pp + 0*Pm
     assert np.allclose(p.mat.entries, np.full((2, 2), 0.5))
 
 
+def test_span_keeps_directions_after_a_dependent_entry():
+    text = """
+basis a b c
+state psi = -1 a
+state u = (1/sqrt(3)) a + (1/sqrt(3)) b + (1/sqrt(3)) c
+pre u
+post u
+proj P = span(a, psi, b)
+proj Pc = |c><c|
+obs O = 1*P + 0*Pc
+"""
+    p = to_scenario(parse(text)).observables["O"].projector_for(1.0)
+    assert p.rank == 2
+    assert np.allclose(p.mat.entries, np.diag([1.0, 1.0, 0.0]))
+
+
 def test_doc_round_trip_on_builtins():
     for build in (three_box, hardy):
         doc = doc_from_scenario(build())
