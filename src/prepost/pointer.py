@@ -18,6 +18,7 @@ mean and post-selection rate below use these rather than the grid.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -36,6 +37,12 @@ BRANCH_TOL = 1e-12
 #: Draws per sampling chunk.  A multiple of 4, so every chunk starts on a
 #: Philox counter block (each counter value yields four 64-bit outputs).
 _CHUNK = 2**18
+
+#: Draws inverted at a time inside a chunk, so a block's temporaries stay in cache.
+_BLOCK = 2**15
+
+#: Equal cells of [0, 1) in the guide table of the inverse CDF.
+_GUIDE = 2**16
 
 
 @dataclass(frozen=True)
@@ -226,28 +233,94 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+class _InverseCdf:
+    """np.interp(u, cdf, xs) for u in [0, 1), bit for bit, in O(1) per draw.
+
+    A guide table (Chen & Asau 1974; Devroye, Non-Uniform Random Variate
+    Generation, 1986, ch. III) holds, for each of `_GUIDE` equal cells of
+    [0, 1), the last node whose CDF is at or below the cell's left edge.  A
+    draw starts there; one in a cell holding further nodes steps forward at
+    most twice, and the rare draw in a tail cell spanning many nodes falls
+    back to a binary search.  The value is np.interp's own formula.
+    """
+
+    def __init__(self, cdf: np.ndarray, xs: np.ndarray):
+        self.cdf, self.xs = cdf, xs
+        self.guide = np.searchsorted(cdf, np.arange(_GUIDE + 1) / _GUIDE, "right") - 1
+        # Flat CDF runs give 0/0 and x/0 and tiny steps overflow; no draw
+        # falls inside a flat run, and one on a node is handled in __call__.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            self.slopes = np.diff(xs) / np.diff(cdf)
+
+    def __call__(self, u: np.ndarray, out: np.ndarray):
+        cdf, xs = self.cdf, self.xs
+        cell = (u * _GUIDE).astype(np.intp)
+        node = self.guide[cell]
+        walk = np.flatnonzero(self.guide[1:][cell] != node)
+        for _ in range(2):
+            at = node[walk]
+            step = cdf[at + 1] <= u[walk]
+            node[walk] = at + step
+            walk = walk[step]
+        node[walk] = np.searchsorted(cdf, u[walk], "right") - 1
+        with np.errstate(invalid="ignore", over="ignore"):
+            np.add(self.slopes[node] * (u - cdf[node]), xs[node], out=out)
+        # An infinite slope times zero: u sits on a node, where np.interp returns it.
+        on_node = np.flatnonzero(np.isnan(out))
+        out[on_node] = xs[node[on_node]]
+
+
+def _merge(a: tuple, b: tuple) -> tuple:
+    """Combine two (count, mean, M2) summaries (Chan, Golub & LeVeque 1979)."""
+    n_a, mean_a, m2_a = a
+    n_b, mean_b, m2_b = b
+    n = n_a + n_b
+    d = mean_b - mean_a
+    return n, mean_a + d * n_b / n, m2_a + m2_b + d * d * n_a * n_b / n
+
+
+def _fill_chunk(out: np.ndarray, start: int, seed: int, inverse: _InverseCdf) -> tuple:
+    """Fill one chunk from draw `start` of the Philox stream; return its (count, mean, M2).
+
+    The draws are inverted block by block, and the blocks' moments are
+    merged in order while each block is still in cache.
+    """
+    uniforms = np.random.Generator(np.random.Philox(key=seed).advance(start // 4))
+    moments = []
+    for lo in range(0, len(out), _BLOCK):
+        block = out[lo : lo + _BLOCK]
+        inverse(uniforms.random(len(block)), block)
+        mean = block.mean()
+        dev = block - mean
+        dev *= dev
+        moments.append((len(block), mean, dev.sum()))
+    return functools.reduce(_merge, moments)
+
+
 def sample(density: Density, n: int, seed: int) -> PointerEnsemble:
     """Draw n pointer readings by inverse-CDF on the tabulated density.
 
     The uniforms are one Philox stream keyed by seed.  Chunks of `_CHUNK`
     draws jump to their own offset in that stream, so they can be filled
-    on every usable core and the result is the same as a single pass.
+    on every usable core and the result is the same as a single pass.  Each
+    chunk also returns its count, mean and M2, which are merged in chunk
+    order, so the mean and variance do not depend on the core count either.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
     xs, ps = density.xs, density.ps
     cdf = np.concatenate(([0.0], np.cumsum((ps[1:] + ps[:-1]) / 2.0 * np.diff(xs))))
     cdf /= cdf[-1]
+    inverse = _InverseCdf(cdf, xs)
     draws = np.empty(n)
     starts = range(0, n, _CHUNK)
+    moments: list = [None] * len(starts)
     errors: list[BaseException] = []
 
     def fill(share: range):
         try:
             for lo in share:
-                hi = min(lo + _CHUNK, n)
-                bits = np.random.Philox(key=seed).advance(lo // 4)
-                draws[lo:hi] = np.interp(np.random.Generator(bits).random(hi - lo), cdf, xs)
+                moments[lo // _CHUNK] = _fill_chunk(draws[lo : lo + _CHUNK], lo, seed, inverse)
         except BaseException as exc:  # re-raised by the caller after the join
             errors.append(exc)
 
@@ -262,10 +335,11 @@ def sample(density: Density, n: int, seed: int) -> PointerEnsemble:
         thread.join()
     if errors:
         raise errors[0]
+    count, mean, m2 = functools.reduce(_merge, moments)
     return PointerEnsemble(
         samples=draws,
-        mean=float(np.mean(draws)),
-        variance=float(np.var(draws)),
+        mean=float(mean),
+        variance=float(m2 / count),
         density=density,
         postselect_rate=density.rate,
     )
@@ -291,16 +365,28 @@ def simulate(
     return sample(density, n, seed)
 
 
-def _write_csv(path: str, header: str, rows):
-    """Write the header and rows with csv.writer's default \\r\\n line ending."""
+def _write_csv(path: str, header: str, n_rows: int, rows):
+    """Write the header, then rows(lo, hi) for each batch of `_BLOCK` rows.
+
+    Lines end in csv.writer's default \\r\\n.  Batches keep the text of
+    the whole file from being held in memory at once.
+    """
     with open(path, "w", newline="") as handle:
-        handle.write(header + "\r\n" + "".join(rows))
+        handle.write(header + "\r\n")
+        for lo in range(0, n_rows, _BLOCK):
+            handle.write("".join(rows(lo, lo + _BLOCK)))
 
 
 def write_density_csv(density: Density, path: str):
-    rows = zip(density.xs.tolist(), density.ps.tolist())
-    _write_csv(path, "x,p_x", [f"{x!r},{p!r}\r\n" for x, p in rows])
+    def rows(lo, hi):
+        pairs = zip(density.xs[lo:hi].tolist(), density.ps[lo:hi].tolist())
+        return [f"{x!r},{p!r}\r\n" for x, p in pairs]
+
+    _write_csv(path, "x,p_x", len(density.xs), rows)
 
 
 def write_samples_csv(ens: PointerEnsemble, path: str):
-    _write_csv(path, "index,x", [f"{i},{x!r}\r\n" for i, x in enumerate(ens.samples.tolist())])
+    def rows(lo, hi):
+        return [f"{i},{x!r}\r\n" for i, x in enumerate(ens.samples[lo:hi].tolist(), lo)]
+
+    _write_csv(path, "index,x", len(ens.samples), rows)

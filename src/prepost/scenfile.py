@@ -114,13 +114,21 @@ class _Cursor:
             raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
 
 
-def _complex_value(tok: Token) -> complex:
+def _complex_value(tok: Token, minus_against: bool) -> complex:
+    """Value of a complex literal.
+
+    A '-' written against a literal with a real part negates that part
+    alone (`-0.6+0.8i`); the caller applies the '-' to the whole value, so
+    the imaginary sign is flipped here to cancel it.
+    """
     body = tok.text[:-1]
     for k in range(len(body) - 1, 0, -1):
         if body[k] in "+-" and body[k - 1] not in "eE":
             re_part = float(body[:k])
             im_part = float(body[k + 1 :])
-            return complex(re_part, im_part if body[k] == "+" else -im_part)
+            if (body[k] == "-") != minus_against:
+                im_part = -im_part
+            return complex(re_part, im_part)
     return complex(0.0, float(body))
 
 
@@ -171,7 +179,10 @@ def _scalar_atom(cur: _Cursor) -> complex:
     if tok.kind == "num":
         return complex(float(tok.text))
     if tok.kind == "complex":
-        return _complex_value(tok)
+        before = cur.tokens[cur.i - 2] if cur.i >= 2 else None
+        return _complex_value(
+            tok, before is not None and before.text == "-" and before.col + 1 == tok.col
+        )
     if tok.kind == "word" and tok.text == "sqrt":
         cur.expect_sym("(")
         inner = _scalar_expr(cur)

@@ -228,6 +228,22 @@ def test_module_entry_point():
     assert "wv.re = -1" in proc.stdout
 
 
+@pytest.mark.parametrize(
+    "flags", [("--delta", "1e-5"), ("--coupling", "20", "--delta", "0.1")]
+)
+def test_simulate_prints_no_warnings(flags):
+    # flat CDF runs divide by zero when the inverse CDF is tabulated; a
+    # numpy warning leaking to stderr would break the one-record contract
+    proc = subprocess.run(
+        [sys.executable, "-m", "prepost", "simulate", "builtin:three-box",
+         "--obs", "C", "--n", "1000", "--seed", "0", *flags],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+
+
 def test_import_loads_no_executor_modules():
     # startup cost shows on every short scencli process; the sampler's
     # threads come from `threading`, which numpy has already imported

@@ -32,7 +32,8 @@ from prepost import (
     write_samples_csv,
 )
 
-from prepost.pointer import Density, _CHUNK
+from prepost import pointer as pointer_module
+from prepost.pointer import Density, _BLOCK, _CHUNK, _GUIDE, _InverseCdf
 
 from conftest import random_state_pair
 
@@ -247,40 +248,101 @@ def test_single_sample_stays_on_grid():
         sample(density, 0, seed=0)
 
 
-def _one_stream_reference(density, n, seed):
+def _cdf(density):
     xs, ps = density.xs, density.ps
     cdf = np.concatenate(([0.0], np.cumsum((ps[1:] + ps[:-1]) / 2.0 * np.diff(xs))))
-    cdf /= cdf[-1]
+    return cdf / cdf[-1]
+
+
+def _one_stream_reference(density, n, seed):
     u = np.random.Generator(np.random.Philox(key=seed)).random(n)
-    return np.interp(u, cdf, xs)
+    return np.interp(u, _cdf(density), density.xs)
 
 
 def _report_cores(monkeypatch, cores):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
 
 
-@pytest.mark.parametrize("n", [3 * _CHUNK + 5, 1])
+def _three_box_density(delta, coupling=1.0):
+    cfg = PointerConfig(delta=delta, coupling=coupling)
+    return pointer_density(_three_box_amps(cfg)[0], cfg)
+
+
+# Deltas 10..0.01 put the mass on more and more nodes per guide cell and
+# leave longer flat tails; 1e-5 puts it on a few nodes (infinite slopes
+# elsewhere), and coupling 20 pushes one branch off the grid.
+_SAMPLED = [(10.0, 1.0), (1.0, 1.0), (0.1, 1.0), (0.01, 1.0), (1e-5, 1.0), (0.1, 20.0)]
+
+
+def _assert_moments_match_numpy(ens):
+    # chunk-order merge against one pass over the array; the mean is taken
+    # relative to the spread as well, since it can sit near zero
+    scale = max(abs(np.mean(ens.samples)), np.std(ens.samples))
+    assert abs(ens.mean - np.mean(ens.samples)) <= 1e-12 * scale
+    assert ens.variance == pytest.approx(np.var(ens.samples), rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [3 * _CHUNK + 5, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1])
 def test_sample_equals_one_philox_stream(monkeypatch, n):
     _report_cores(monkeypatch, 4)
-    cfg = PointerConfig(delta=1.0)
-    density = pointer_density(_three_box_amps(cfg)[0], cfg)
     seed = 2**128 - 7
-    ens = sample(density, n, seed)
-    assert np.array_equal(ens.samples, _one_stream_reference(density, n, seed))
+    for delta, coupling in _SAMPLED:
+        density = _three_box_density(delta, coupling)
+        ens = sample(density, n, seed)
+        reference = _one_stream_reference(density, n, seed)
+        assert np.array_equal(ens.samples, reference), (delta, coupling)
+        _assert_moments_match_numpy(ens)
+
+
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+@pytest.mark.parametrize("delta", [10.0, 0.01, 1e-5])
+def test_guide_table_inverse_equals_interp(monkeypatch, n, delta):
+    density = _three_box_density(delta)
+    cdf, xs = _cdf(density), density.xs
+    inverse = _InverseCdf(cdf, xs)
+    # a tail cell holding hundreds of nodes, where the walk gives up and
+    # the binary search takes over
+    spans = np.diff(inverse.guide)
+    wide = int(np.argmax(spans))
+    assert spans[wide] >= 200
+    first = inverse.guide[wide] + 1
+    inner = cdf[first : first + spans[wide] - 1]
+    special = np.concatenate((
+        [0.0, np.nextafter(1.0, 0.0), wide / _GUIDE],
+        cdf[1:-1:97],  # interior nodes
+        inner,
+        (inner[:-1] + inner[1:]) / 2.0,
+    ))
+    special = special[(special >= 0.0) & (special < 1.0)]
+    u = np.random.Generator(np.random.Philox(key=23)).random(n)
+    u[: special.size] = special[:n]
+    expected = np.interp(u, cdf, xs)
+    searched = []
+    real_search = np.searchsorted
+
+    def traced_search(a, v, *args):
+        searched.append(np.size(v))
+        return real_search(a, v, *args)
+
+    monkeypatch.setattr(np, "searchsorted", traced_search)
+    out = np.empty(n)
+    inverse(u, out)
+    assert np.array_equal(out, expected)
+    assert searched[-1] > 0  # the walk handed draws to the binary search
 
 
 def test_sample_does_not_depend_on_core_count(monkeypatch):
     cfg = PointerConfig(delta=10.0)
     density = pointer_density(_three_box_amps(cfg)[0], cfg)
     n = 3 * _CHUNK + 5  # four chunks
-    real_interp = np.interp
+    real_fill = pointer_module._fill_chunk
     names = set()
 
-    def traced_interp(*args):
+    def traced_fill(*args):
         names.add(threading.current_thread().name)
-        return real_interp(*args)
+        return real_fill(*args)
 
-    monkeypatch.setattr(np, "interp", traced_interp)
+    monkeypatch.setattr(pointer_module, "_fill_chunk", traced_fill)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -312,15 +374,15 @@ def test_sample_raises_a_chunk_failure(monkeypatch, where):
     _report_cores(monkeypatch, 4)
     cfg = PointerConfig(delta=1.0)
     density = pointer_density(_three_box_amps(cfg)[0], cfg)
-    real_interp = np.interp
+    real_fill = pointer_module._fill_chunk
 
-    def failing_interp(*args):
+    def failing_fill(*args):
         in_caller = threading.current_thread() is threading.main_thread()
         if in_caller == (where == "caller"):
             raise RuntimeError("injected chunk failure")
-        return real_interp(*args)
+        return real_fill(*args)
 
-    monkeypatch.setattr(np, "interp", failing_interp)
+    monkeypatch.setattr(pointer_module, "_fill_chunk", failing_fill)
     threads_before = threading.active_count()
     with pytest.raises(RuntimeError, match="injected chunk failure"):
         sample(density, 4 * _CHUNK, seed=3)
@@ -386,7 +448,8 @@ def test_csv_exports_are_deterministic(tmp_path):
 def test_csv_bytes_match_csv_writer(tmp_path):
     xs, ps = np.array([-1.5, -0.0, 0.1, 1e-300]), np.array([0.0, -0.0, 1 / 3, 2.5e22])
     density = Density(xs, ps, 1.0)
-    samples = np.array([-0.0, 1 / 3, -2.5e-17, 4.0, 1e22, -7.25])
+    # more rows than one write batch, so the index runs on across batches
+    samples = np.resize([-0.0, 1 / 3, -2.5e-17, 4.0, 1e22, -7.25], 2 * _BLOCK + 3)
     ens = PointerEnsemble(samples, 0.0, 0.0, density, 1.0)
 
     def reference(path, header, rows):

@@ -281,6 +281,45 @@ def test_negative_and_complex_coefficients_round_trip():
     assert parse(serialize(doc)) == doc
 
 
+@pytest.mark.parametrize(
+    "rhs, terms",
+    [
+        ("-0.6+0.8i a", [(complex(-0.6, 0.8), "a")]),
+        ("0.8 b -0.6+0.8i a", [(0.8, "b"), (complex(-0.6, 0.8), "a")]),
+        ("0.8 b-0.6-0.8i a", [(0.8, "b"), (complex(-0.6, -0.8), "a")]),
+        ("(1 -0.6+0.8i) a", [(complex(0.4, 0.8), "a")]),
+        ("-0.8i a", [(complex(0.0, -0.8), "a")]),
+    ],
+)
+def test_minus_against_a_complex_literal_negates_its_real_part(rhs, terms):
+    doc = parse(f"basis a b\nstate p = {rhs}\n")
+    assert doc.states[0].terms == tuple((complex(c), lab) for c, lab in terms)
+
+
+@pytest.mark.parametrize(
+    "rhs, terms",
+    [
+        ("- 0.6-0.8i a", [(complex(-0.6, 0.8), "a")]),
+        ("- 0.6+0.8i a", [(complex(-0.6, -0.8), "a")]),
+        ("0.8 b - 0.6-0.8i a", [(0.8, "b"), (complex(-0.6, 0.8), "a")]),
+    ],
+)
+def test_spaced_minus_negates_the_whole_complex_literal(rhs, terms):
+    doc = parse(f"basis a b\nstate p = {rhs}\n")
+    assert doc.states[0].terms == tuple((complex(c), lab) for c, lab in terms)
+
+
+def test_complex_amplitudes_round_trip_in_every_quadrant():
+    quadrants = [complex(0.6, 0.8), complex(-0.6, 0.8), complex(-0.6, -0.8), complex(0.6, -0.8)]
+    for first in quadrants:
+        for second in quadrants:
+            doc = ScenarioDoc(
+                basis=("a", "b"),
+                states=(StateDecl("x", ((first / 2**0.5, "a"), (second / 2**0.5, "b"))),),
+            )
+            assert parse(serialize(doc)) == doc
+
+
 def test_comments_and_blank_lines_are_ignored():
     text = "\n# header\nbasis a b  # trailing comment\n\nstate x = 1 a\npre x\npost x\n"
     doc = parse(text)
