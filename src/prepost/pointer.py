@@ -252,22 +252,48 @@ class _InverseCdf:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self.slopes = np.diff(xs) / np.diff(cdf)
 
-    def __call__(self, u: np.ndarray, out: np.ndarray):
-        cdf, xs = self.cdf, self.xs
-        cell = (u * _GUIDE).astype(np.intp)
-        node = self.guide[cell]
-        walk = np.flatnonzero(self.guide[1:][cell] != node)
+    def __call__(self, u: np.ndarray, out: np.ndarray, buf: Optional[_Buffers] = None):
+        """Write np.interp(u, cdf, xs) to out, with temporaries from buf."""
+        cdf, xs, m = self.cdf, self.xs, len(u)
+        buf = buf or _Buffers(m)
+        f, cell, node, ahead, flag = buf.first(m)
+        cell[...] = np.multiply(u, _GUIDE, out=f)  # truncates, as astype(np.intp)
+        # Every index is in range, and mode="clip" lets take write to out unbuffered.
+        np.take(self.guide, cell, out=node, mode="clip")
+        np.take(self.guide[1:], cell, out=ahead, mode="clip")
+        walk = np.flatnonzero(np.not_equal(ahead, node, out=flag))
         for _ in range(2):
             at = node[walk]
             step = cdf[at + 1] <= u[walk]
             node[walk] = at + step
             walk = walk[step]
         node[walk] = np.searchsorted(cdf, u[walk], "right") - 1
+        np.subtract(u, np.take(cdf, node, out=f, mode="clip"), out=f)
+        np.take(self.slopes, node, out=out, mode="clip")
         with np.errstate(invalid="ignore", over="ignore"):
-            np.add(self.slopes[node] * (u - cdf[node]), xs[node], out=out)
+            out *= f
+            out += np.take(xs, node, out=f, mode="clip")
         # An infinite slope times zero: u sits on a node, where np.interp returns it.
-        on_node = np.flatnonzero(np.isnan(out))
+        on_node = np.flatnonzero(np.isnan(out, out=flag))
         out[on_node] = xs[node[on_node]]
+
+
+class _Buffers:
+    """One worker's temporaries for blocks of up to `size` draws.
+
+    They are reused block after block, so the sampling loop allocates and
+    frees nothing of block size: freed blocks would let malloc hand their
+    pages back to the OS and fault them in again for the next block.
+    """
+
+    def __init__(self, size: int):
+        self.u, self.f = np.empty(size), np.empty(size)
+        self.cell, self.node, self.ahead = (np.empty(size, np.intp) for _ in range(3))
+        self.flag = np.empty(size, bool)
+
+    def first(self, m: int) -> tuple:
+        """The first m entries of the inverter's temporaries f, cell, node, ahead, flag."""
+        return self.f[:m], self.cell[:m], self.node[:m], self.ahead[:m], self.flag[:m]
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -279,21 +305,24 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return n, mean_a + d * n_b / n, m2_a + m2_b + d * d * n_a * n_b / n
 
 
-def _fill_chunk(out: np.ndarray, start: int, seed: int, inverse: _InverseCdf) -> tuple:
+def _fill_chunk(
+    out: np.ndarray, start: int, seed: int, inverse: _InverseCdf, buf: _Buffers
+) -> tuple:
     """Fill one chunk from draw `start` of the Philox stream; return its (count, mean, M2).
 
-    The draws are inverted block by block, and the blocks' moments are
-    merged in order while each block is still in cache.
+    The draws are inverted block by block in buf, and the blocks' moments
+    are merged in order while each block is still in cache.
     """
     uniforms = np.random.Generator(np.random.Philox(key=seed).advance(start // 4))
     moments = []
     for lo in range(0, len(out), _BLOCK):
         block = out[lo : lo + _BLOCK]
-        inverse(uniforms.random(len(block)), block)
+        m = len(block)
+        inverse(uniforms.random(m, out=buf.u[:m]), block, buf)
         mean = block.mean()
-        dev = block - mean
+        dev = np.subtract(block, mean, out=buf.f[:m])
         dev *= dev
-        moments.append((len(block), mean, dev.sum()))
+        moments.append((m, mean, dev.sum()))
     return functools.reduce(_merge, moments)
 
 
@@ -319,8 +348,11 @@ def sample(density: Density, n: int, seed: int) -> PointerEnsemble:
 
     def fill(share: range):
         try:
+            buf = _Buffers(min(_BLOCK, n))
             for lo in share:
-                moments[lo // _CHUNK] = _fill_chunk(draws[lo : lo + _CHUNK], lo, seed, inverse)
+                moments[lo // _CHUNK] = _fill_chunk(
+                    draws[lo : lo + _CHUNK], lo, seed, inverse, buf
+                )
         except BaseException as exc:  # re-raised by the caller after the join
             errors.append(exc)
 
