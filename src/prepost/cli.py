@@ -196,7 +196,10 @@ def _cmd_simulate(args) -> int:
         cfg = PointerConfig(delta=args.delta, x0=args.x0, coupling=args.coupling)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    ens = simulate(obs, sc.pre, sc.post, cfg, args.n, args.seed)
+    ens = simulate(
+        obs, sc.pre, sc.post, cfg, args.n, args.seed,
+        keep_samples=args.samples_out is not None,
+    )
     if args.density_out:
         write_density_csv(ens.density, args.density_out)
     if args.samples_out:

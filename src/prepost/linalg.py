@@ -10,7 +10,7 @@ concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Union, overload
+from typing import Mapping, Optional, Sequence, Union, overload
 
 import numpy as np
 
@@ -26,6 +26,11 @@ LABEL_JOIN = "_"
 def index_labels(n: int) -> tuple[str, ...]:
     """Default basis labels "0", "1", ... for unlabeled data."""
     return tuple(str(i) for i in range(n))
+
+
+def label_index(labels: Sequence[str]) -> dict[str, int]:
+    """Position of each label in a basis (whose labels are unique), for O(1) lookups."""
+    return {label: k for k, label in enumerate(labels)}
 
 
 def check_same_basis(a: "CVec | CMat", b: "CVec | CMat") -> None:
@@ -90,11 +95,17 @@ class CVec:
         return CVec(-self.amps, self.labels)
 
     @classmethod
-    def basis_vector(cls, label: str, labels: Sequence[str]) -> "CVec":
-        """Unit vector along the basis element named `label`."""
+    def basis_vector(
+        cls, label: str, labels: Sequence[str], index: Optional[Mapping[str, int]] = None
+    ) -> "CVec":
+        """Unit vector along the basis element named `label`.
+
+        `index` is `label_index(labels)`; callers building many vectors over
+        one basis pass it once built, so each lookup is O(1).
+        """
         labels = tuple(labels)
         amps = np.zeros(len(labels), dtype=complex)
-        amps[labels.index(label)] = 1.0
+        amps[labels.index(label) if index is None else index[label]] = 1.0
         return cls(amps, labels)
 
 

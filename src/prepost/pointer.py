@@ -44,6 +44,11 @@ _BLOCK = 2**15
 #: Equal cells of [0, 1) in the guide table of the inverse CDF.
 _GUIDE = 2**16
 
+#: CSV rows formatted and written at a time.  A batch's row strings take
+#: about 80 bytes a row, so a small batch keeps them well below the arrays
+#: being written.
+_WRITE_ROWS = 2**12
+
 
 @dataclass(frozen=True)
 class PointerConfig:
@@ -216,9 +221,12 @@ def pointer_density(
 
 @dataclass(frozen=True)
 class PointerEnsemble:
-    """Monte Carlo pointer readings together with their source density."""
+    """Monte Carlo pointer readings together with their source density.
 
-    samples: np.ndarray
+    `samples` is None when the ensemble was drawn with keep_samples=False.
+    """
+
+    samples: Optional[np.ndarray]
     mean: float
     variance: float
     density: Density
@@ -247,21 +255,25 @@ class _InverseCdf:
     def __init__(self, cdf: np.ndarray, xs: np.ndarray):
         self.cdf, self.xs = cdf, xs
         self.guide = np.searchsorted(cdf, np.arange(_GUIDE + 1) / _GUIDE, "right") - 1
+        # Cells holding further nodes, where a draw may have to walk.
+        self.walks = self.guide[1:] != self.guide[:-1]
         # Flat CDF runs give 0/0 and x/0 and tiny steps overflow; no draw
         # falls inside a flat run, and one on a node is handled in __call__.
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self.slopes = np.diff(xs) / np.diff(cdf)
 
     def __call__(self, u: np.ndarray, out: np.ndarray, buf: Optional[_Buffers] = None):
-        """Write np.interp(u, cdf, xs) to out, with temporaries from buf."""
+        """Write np.interp(u, cdf, xs) to out, with temporaries from buf.
+
+        out may be u itself: u is last read before out is first written.
+        """
         cdf, xs, m = self.cdf, self.xs, len(u)
         buf = buf or _Buffers(m)
-        f, cell, node, ahead, flag = buf.first(m)
+        f, cell, node, flag = buf.first(m)
         cell[...] = np.multiply(u, _GUIDE, out=f)  # truncates, as astype(np.intp)
         # Every index is in range, and mode="clip" lets take write to out unbuffered.
         np.take(self.guide, cell, out=node, mode="clip")
-        np.take(self.guide[1:], cell, out=ahead, mode="clip")
-        walk = np.flatnonzero(np.not_equal(ahead, node, out=flag))
+        walk = np.flatnonzero(np.take(self.walks, cell, out=flag, mode="clip"))
         for _ in range(2):
             at = node[walk]
             step = cdf[at + 1] <= u[walk]
@@ -288,12 +300,12 @@ class _Buffers:
 
     def __init__(self, size: int):
         self.u, self.f = np.empty(size), np.empty(size)
-        self.cell, self.node, self.ahead = (np.empty(size, np.intp) for _ in range(3))
+        self.cell, self.node = np.empty(size, np.intp), np.empty(size, np.intp)
         self.flag = np.empty(size, bool)
 
     def first(self, m: int) -> tuple:
-        """The first m entries of the inverter's temporaries f, cell, node, ahead, flag."""
-        return self.f[:m], self.cell[:m], self.node[:m], self.ahead[:m], self.flag[:m]
+        """The first m entries of the inverter's temporaries f, cell, node, flag."""
+        return self.f[:m], self.cell[:m], self.node[:m], self.flag[:m]
 
 
 def _merge(a: tuple, b: tuple) -> tuple:
@@ -306,19 +318,22 @@ def _merge(a: tuple, b: tuple) -> tuple:
 
 
 def _fill_chunk(
-    out: np.ndarray, start: int, seed: int, inverse: _InverseCdf, buf: _Buffers
+    draws: Optional[np.ndarray], lo: int, hi: int, seed: int, inverse: _InverseCdf,
+    buf: _Buffers,
 ) -> tuple:
-    """Fill one chunk from draw `start` of the Philox stream; return its (count, mean, M2).
+    """Draw lo..hi-1 of the Philox stream; return their (count, mean, M2).
 
-    The draws are inverted block by block in buf, and the blocks' moments
-    are merged in order while each block is still in cache.
+    The draws are inverted block by block, into draws[lo:hi] when the
+    samples are kept and in place over the block's uniforms otherwise, and
+    the blocks' moments are merged in order while each block is in cache.
     """
-    uniforms = np.random.Generator(np.random.Philox(key=seed).advance(start // 4))
+    uniforms = np.random.Generator(np.random.Philox(key=seed).advance(lo // 4))
     moments = []
-    for lo in range(0, len(out), _BLOCK):
-        block = out[lo : lo + _BLOCK]
-        m = len(block)
-        inverse(uniforms.random(m, out=buf.u[:m]), block, buf)
+    for start in range(lo, hi, _BLOCK):
+        m = min(_BLOCK, hi - start)
+        u = uniforms.random(m, out=buf.u[:m])
+        block = u if draws is None else draws[start : start + m]
+        inverse(u, block, buf)
         mean = block.mean()
         dev = np.subtract(block, mean, out=buf.f[:m])
         dev *= dev
@@ -326,7 +341,9 @@ def _fill_chunk(
     return functools.reduce(_merge, moments)
 
 
-def sample(density: Density, n: int, seed: int) -> PointerEnsemble:
+def sample(
+    density: Density, n: int, seed: int, keep_samples: bool = True
+) -> PointerEnsemble:
     """Draw n pointer readings by inverse-CDF on the tabulated density.
 
     The uniforms are one Philox stream keyed by seed.  Chunks of `_CHUNK`
@@ -334,6 +351,8 @@ def sample(density: Density, n: int, seed: int) -> PointerEnsemble:
     on every usable core and the result is the same as a single pass.  Each
     chunk also returns its count, mean and M2, which are merged in chunk
     order, so the mean and variance do not depend on the core count either.
+    With keep_samples=False no n-long array is held and `samples` is None;
+    the mean and variance are the same bits either way.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
@@ -341,7 +360,7 @@ def sample(density: Density, n: int, seed: int) -> PointerEnsemble:
     cdf = np.concatenate(([0.0], np.cumsum((ps[1:] + ps[:-1]) / 2.0 * np.diff(xs))))
     cdf /= cdf[-1]
     inverse = _InverseCdf(cdf, xs)
-    draws = np.empty(n)
+    draws = np.empty(n) if keep_samples else None
     starts = range(0, n, _CHUNK)
     moments: list = [None] * len(starts)
     errors: list[BaseException] = []
@@ -351,7 +370,7 @@ def sample(density: Density, n: int, seed: int) -> PointerEnsemble:
             buf = _Buffers(min(_BLOCK, n))
             for lo in share:
                 moments[lo // _CHUNK] = _fill_chunk(
-                    draws[lo : lo + _CHUNK], lo, seed, inverse, buf
+                    draws, lo, min(lo + _CHUNK, n), seed, inverse, buf
                 )
         except BaseException as exc:  # re-raised by the caller after the join
             errors.append(exc)
@@ -389,24 +408,25 @@ def simulate(
     cfg: PointerConfig,
     n: int,
     seed: int,
+    keep_samples: bool = True,
 ) -> PointerEnsemble:
     """Full pipeline: entangle, post-select, tabulate the density, sample it."""
     bs = entangle(obs, pre, cfg)
     amps, _ = postselect(bs, post, cfg)
     density = pointer_density(amps, cfg)
-    return sample(density, n, seed)
+    return sample(density, n, seed, keep_samples)
 
 
 def _write_csv(path: str, header: str, n_rows: int, rows):
-    """Write the header, then rows(lo, hi) for each batch of `_BLOCK` rows.
+    """Write the header, then rows(lo, hi) for each batch of `_WRITE_ROWS` rows.
 
     Lines end in csv.writer's default \\r\\n.  Batches keep the text of
     the whole file from being held in memory at once.
     """
     with open(path, "w", newline="") as handle:
         handle.write(header + "\r\n")
-        for lo in range(0, n_rows, _BLOCK):
-            handle.write("".join(rows(lo, lo + _BLOCK)))
+        for lo in range(0, n_rows, _WRITE_ROWS):
+            handle.write("".join(rows(lo, lo + _WRITE_ROWS)))
 
 
 def write_density_csv(density: Density, path: str):
@@ -418,6 +438,9 @@ def write_density_csv(density: Density, path: str):
 
 
 def write_samples_csv(ens: PointerEnsemble, path: str):
+    if ens.samples is None:
+        raise ValueError("ensemble was sampled without keep_samples")
+
     def rows(lo, hi):
         return [f"{i},{x!r}\r\n" for i, x in enumerate(ens.samples[lo:hi].tolist(), lo)]
 

@@ -19,7 +19,9 @@ from typing import Sequence, Union
 import numpy as np
 
 from .errors import DimensionError, NormalizationError, NotHermitian, UndefinedWeakValue
-from .linalg import ATOL, CMat, CVec, apply, check_same_basis, index_labels, inner
+from .linalg import (
+    ATOL, CMat, CVec, apply, check_same_basis, index_labels, inner, label_index,
+)
 
 #: Eigenvalues closer than this are merged into one degenerate projector.
 DEGENERACY_TOL = 1e-8
@@ -163,8 +165,11 @@ class Projector:
     @classmethod
     def on_labels(cls, labels: Sequence[str], subset: Sequence[str]) -> "Projector":
         """Diagonal projector onto a subset of the basis labels."""
-        labels = tuple(labels)
-        columns = sorted({labels.index(name) for name in subset})
+        labels, index = tuple(labels), label_index(labels)
+        try:
+            columns = sorted({index[name] for name in subset})
+        except KeyError as exc:
+            raise ValueError(f"unknown basis label {exc.args[0]!r}") from None
         return cls(np.eye(len(labels))[:, columns], labels)
 
     @classmethod

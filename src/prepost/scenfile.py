@@ -32,7 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NormalizationError, NotHermitian, ParseError
-from .linalg import CVec, CMat
+from .linalg import CVec, CMat, label_index
 from .quantum import Observable, Projector, State
 from .scenarios import Scenario
 
@@ -487,15 +487,16 @@ def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
     """Resolve a parsed document into a live Scenario (empty fixture set)."""
     if not doc.basis:
         raise ParseError("missing basis declaration")
+    index = label_index(doc.basis)
     states: dict[str, State] = {}
     for st in doc.states:
         amps = np.zeros(len(doc.basis), dtype=complex)
         for coeff, label in st.terms:
-            if label not in doc.basis:
+            if label not in index:
                 raise ParseError(
                     f"unknown basis label {label!r} in state {st.name!r}", st.line
                 )
-            amps[doc.basis.index(label)] += coeff
+            amps[index[label]] += coeff
         vec = CVec(amps, doc.basis)
         norm = vec.norm()
         if norm <= 1e-12:
@@ -509,8 +510,8 @@ def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
         states[st.name] = State(vec / norm, st.name)
 
     def resolve_vector(label: str, line: int, context: str) -> CVec:
-        if label in doc.basis:
-            return CVec.basis_vector(label, doc.basis)
+        if label in index:
+            return CVec.basis_vector(label, doc.basis, index)
         if label in states:
             return states[label].vec
         raise ParseError(f"unknown label {label!r} in {context}", line)

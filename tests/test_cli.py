@@ -8,6 +8,7 @@ import pytest
 
 from prepost import scenarios, scenfile
 from prepost.cli import main
+from prepost.pointer import _CHUNK
 
 
 def run_cli(capsys, *argv):
@@ -123,6 +124,18 @@ def test_simulate_writes_csvs(capsys, tmp_path):
     samp_lines = samp.read_text().strip().splitlines()
     assert samp_lines[0] == "index,x"
     assert len(samp_lines) == 5001
+
+
+def test_simulate_stdout_does_not_depend_on_samples_out(capsys, tmp_path):
+    argv = ["simulate", "builtin:hardy", "--obs", "N1", "--delta", "0.5",
+            "--n", str(_CHUNK + 3), "--seed", str(2**128 - 1)]
+    code, without, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    samp = tmp_path / "samples.csv"
+    code, with_samples, err = run_cli(capsys, *argv, "--samples-out", str(samp))
+    assert (code, err) == (0, "")
+    assert with_samples == without
+    assert len(samp.read_text().splitlines()) == _CHUNK + 4
 
 
 def test_verify_builtins(capsys):
@@ -257,3 +270,23 @@ def test_import_loads_no_executor_modules():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_checks_do_not_rely_on_assert():
+    # python -O strips assert statements, so every check must raise itself
+    def run_optimized(*argv):
+        return subprocess.run(
+            [sys.executable, "-O", "-m", "prepost", *argv],
+            capture_output=True,
+            text=True,
+        )
+
+    for name in ("three-box", "hardy"):
+        proc = run_optimized("verify", f"builtin:{name}")
+        assert proc.returncode == 0, proc.stderr
+        assert "checks.failed = 0" in proc.stdout
+    proc = run_optimized("simulate", "builtin:three-box", "--obs", "C", "--delta", "0")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error kind=Usage ")

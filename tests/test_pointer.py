@@ -2,6 +2,7 @@ import csv
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from prepost import (
 )
 
 from prepost import pointer as pointer_module
-from prepost.pointer import Density, _BLOCK, _CHUNK, _GUIDE, _InverseCdf
+from prepost.pointer import Density, _CHUNK, _GUIDE, _InverseCdf, _WRITE_ROWS
 
 from conftest import random_state_pair
 
@@ -369,6 +370,42 @@ def test_sample_does_not_depend_on_core_count(monkeypatch):
         assert ens.variance == runs[1].variance
 
 
+@pytest.mark.parametrize("cores", [1, 4])
+@pytest.mark.parametrize("n", [1, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_moments_do_not_depend_on_keep_samples(monkeypatch, n, cores):
+    _report_cores(monkeypatch, cores)
+    for delta, coupling in _SAMPLED:
+        density = _three_box_density(delta, coupling)
+        kept = sample(density, n, seed=17)
+        dropped = sample(density, n, seed=17, keep_samples=False)
+        assert dropped.samples is None
+        assert (dropped.mean, dropped.variance) == (kept.mean, kept.variance), (delta, coupling)
+
+
+def test_sample_without_keep_samples_holds_no_sample_array(monkeypatch):
+    # one worker holds its block buffers (about 1 MB) whatever n is; kept
+    # samples would add n * 8 bytes
+    _report_cores(monkeypatch, 1)
+    density = _three_box_density(10.0)
+    sample(density, 1, seed=0, keep_samples=False)  # numpy.random imports lazily
+    n = 4 * _CHUNK
+    tracemalloc.start()
+    try:
+        sample(density, n, seed=0, keep_samples=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * 8 / 4
+
+
+def test_samples_csv_needs_kept_samples(tmp_path):
+    ens = sample(_three_box_density(1.0), 10, seed=0, keep_samples=False)
+    path = tmp_path / "samples.csv"
+    with pytest.raises(ValueError, match="ensemble was sampled without keep_samples"):
+        write_samples_csv(ens, str(path))
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("where", ["caller", "worker"])
 def test_sample_raises_a_chunk_failure(monkeypatch, where):
     _report_cores(monkeypatch, 4)
@@ -449,7 +486,7 @@ def test_csv_bytes_match_csv_writer(tmp_path):
     xs, ps = np.array([-1.5, -0.0, 0.1, 1e-300]), np.array([0.0, -0.0, 1 / 3, 2.5e22])
     density = Density(xs, ps, 1.0)
     # more rows than one write batch, so the index runs on across batches
-    samples = np.resize([-0.0, 1 / 3, -2.5e-17, 4.0, 1e22, -7.25], 2 * _BLOCK + 3)
+    samples = np.resize([-0.0, 1 / 3, -2.5e-17, 4.0, 1e22, -7.25], 2 * _WRITE_ROWS + 3)
     ens = PointerEnsemble(samples, 0.0, 0.0, density, 1.0)
 
     def reference(path, header, rows):

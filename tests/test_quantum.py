@@ -65,6 +65,8 @@ def test_projector_on_labels_and_identity():
     p = Projector.on_labels(("a", "b", "c"), ("a", "c"))
     assert np.allclose(p.mat.entries, np.diag([1.0, 0.0, 1.0]))
     assert p.rank == 2
+    with pytest.raises(ValueError, match="unknown basis label 'z'"):
+        Projector.on_labels(("a", "b", "c"), ("a", "z"))
     ident = Projector.identity(("a", "b"))
     assert ident.rank == 2
     assert ident.eigenvalue_set() == (1.0,)

@@ -164,8 +164,12 @@ def test_parse_errors_carry_positions(line, match):
 def test_semantic_errors():
     with pytest.raises(ParseError, match="missing basis"):
         to_scenario(parse("state x normalize = 1 x\n"))
-    with pytest.raises(ParseError, match="unknown basis label"):
+    with pytest.raises(ParseError, match="unknown basis label 'q' in state 'x'") as err:
         to_scenario(parse("basis a\nstate x = 1 q\npre x\npost x\n"))
+    assert err.value.line == 2
+    with pytest.raises(ParseError, match="unknown label 'q' in projector 'P'") as err:
+        to_scenario(parse("basis a\nstate x = 1 a\npre x\npost x\nproj P = span(a, q)\n"))
+    assert err.value.line == 5
     with pytest.raises(ParseError, match="missing pre"):
         to_scenario(parse("basis a\nstate x = 1 a\npost x\n"))
     with pytest.raises(ParseError, match="missing post"):
