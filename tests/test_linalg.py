@@ -25,9 +25,9 @@ def test_default_labels_are_indices():
 
 
 def test_basis_vector():
-    v = CVec.basis_vector("b", ("a", "b", "c"))
-    assert v.amps.tolist() == [0, 1, 0]
     labels = ("a", "b", "c")
+    v = CVec.basis_vector("b", labels)
+    assert v.amps.tolist() == [0, 1, 0]
     w = CVec.basis_vector("c", labels, label_index(labels))
     assert w.amps.tolist() == [0, 0, 1] and w.labels == labels
     with pytest.raises(ValueError):
