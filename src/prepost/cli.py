@@ -22,6 +22,7 @@ from . import scenarios, scenfile
 from .errors import (
     NormalizationError,
     ParseError,
+    PointerRangeError,
     PostSelectionImpossible,
     ScenarioFixtureError,
     UndefinedABL,
@@ -294,7 +295,7 @@ def main(argv=None) -> int:
         msg = exc.args[0] if exc.args else str(exc)
         _emit_error(type(exc).__name__, msg, line=exc.line, col=exc.col)
         return 1
-    except OSError as exc:
+    except (OSError, PointerRangeError) as exc:
         _emit_error(type(exc).__name__, str(exc))
         return 1
     except _COMPUTATION_ERRORS as exc:

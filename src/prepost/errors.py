@@ -58,6 +58,10 @@ class PostSelectionImpossible(PrepostError):
     """Post-selected state has no overlap with any measurement branch."""
 
 
+class PointerRangeError(PrepostError, ValueError):
+    """delta is too small or too large for the pointer's branch centres."""
+
+
 class ScenarioFixtureError(PrepostError):
     """A scenario's stored expected values failed recomputation at load."""
 

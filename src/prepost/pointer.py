@@ -7,13 +7,10 @@ shifted Gaussians whose interference encodes the weak value: for large
 delta the pointer mean approaches x0 + coupling * Re(weak value), while for
 small delta the branch masses reproduce the ABL probabilities.
 
-All first and second moments of the post-selected density have closed
-forms through the overlap kernel
-
-    K_ij = exp(-(c_i - c_j)^2 / (8 delta^2)),
-
-with int G_i G_j = K_ij and int x G_i G_j = ((c_i + c_j)/2) K_ij; the exact
-mean and post-selection rate below use these rather than the grid.
+With branch centres c_i and amplitudes alpha_i, |sum_i alpha_i G(x; c_i)|^2 is the
+signed mixture sum_ij w_ij N(x; m_ij, delta) with m_ij = (c_i + c_j)/2 and w_ij =
+Re(conj(alpha_i) alpha_j) exp(-((c_i - c_j)/delta)^2 / 8), so its rate (sum w),
+moments and masses have closed forms.  Samples come from a table over c_i +- 10 delta.
 """
 
 from __future__ import annotations
@@ -27,12 +24,15 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BasisMismatch, DimensionError, PostSelectionImpossible
+from .errors import BasisMismatch, DimensionError, PointerRangeError, PostSelectionImpossible
 from .linalg import CVec
 from .quantum import Observable, State
 
 #: Branches with squared norm at or below this are dropped as empty.
 BRANCH_TOL = 1e-12
+
+#: Nodes of a density table, and the half-width in deltas of its window around each centre.
+_NODES, _REACH = 2**14, 10.0
 
 #: Draws per sampling chunk.  A multiple of 4, so every chunk starts on a
 #: Philox counter block (each counter value yields four 64-bit outputs).
@@ -52,17 +52,17 @@ _WRITE_ROWS = 2**12
 
 @dataclass(frozen=True)
 class PointerConfig:
-    """Apparatus geometry: spread, ready position, coupling, density grid.
+    """Apparatus geometry: pointer spread delta, ready position x0, coupling.
 
-    The default grid spans x0 +- (8*delta + 2) with 2^14 points, which
-    holds essentially all mass whenever branch centers stay within 2 units
-    of x0; pass an explicit grid for larger couplings or eigenvalues.
+    Branch lambda sits at c = x0 + coupling * lambda.  The density raises
+    PointerRangeError unless each window c +- 10 delta holds its share of the
+    2^14 table nodes as distinct doubles (delta >~ 1e-13 |c|) and
+    2^64 (max|c| + 10 delta)^2 is finite (delta <~ 3e143).
     """
 
     delta: float
     x0: float = 0.0
     coupling: float = 1.0
-    grid: Optional[tuple[float, float, int]] = None
 
     def __post_init__(self):
         if not (math.isfinite(self.delta) and self.delta > 0):
@@ -71,18 +71,6 @@ class PointerConfig:
             raise ValueError(f"x0 must be finite, got {self.x0}")
         if not (math.isfinite(self.coupling) and self.coupling != 0):
             raise ValueError(f"coupling must be non-zero and finite, got {self.coupling}")
-        if self.grid is None:
-            span = 8.0 * self.delta + 2.0
-            object.__setattr__(self, "grid", (self.x0 - span, self.x0 + span, 2**14))
-        x_min, x_max, n_points = self.grid
-        if n_points < 2:
-            raise ValueError(f"grid needs at least 2 points, got {n_points}")
-        if not x_min < x_max:
-            raise ValueError(f"empty grid range [{x_min}, {x_max}]")
-
-    def grid_points(self) -> np.ndarray:
-        x_min, x_max, n_points = self.grid
-        return np.linspace(x_min, x_max, n_points)
 
 
 @dataclass(frozen=True)
@@ -107,7 +95,8 @@ class BranchState:
 
 def gaussian_amplitude(x, center: float, delta: float):
     """Normalized Gaussian amplitude; its square integrates to 1 with sd delta."""
-    return (2.0 * np.pi * delta**2) ** -0.25 * np.exp(-((x - center) ** 2) / (4.0 * delta**2))
+    z = (x - center) / delta
+    return np.exp(-(z * z) / 4.0) / math.sqrt(math.sqrt(2.0 * math.pi) * delta)
 
 
 def entangle(obs: Observable, pre: State, cfg: PointerConfig) -> BranchState:
@@ -155,68 +144,75 @@ def postselect(
         raise PostSelectionImpossible(
             "post-selection state is orthogonal to every branch"
         )
-    return amps, exact_rate(amps, cfg.delta)
+    return amps, Density(amps, cfg.delta).rate
 
 
-def _overlap_kernel(centers: np.ndarray, delta: float) -> np.ndarray:
-    diff = centers[:, None] - centers[None, :]
-    return np.exp(-(diff**2) / (8.0 * delta**2))
-
-
-def exact_rate(amps: Sequence[tuple[float, complex]], delta: float) -> float:
-    """Post-selection probability: the squared norm of the apparatus mixture."""
-    centers = np.array([c for c, _ in amps], dtype=float)
-    alphas = np.array([a for _, a in amps], dtype=complex)
-    kernel = _overlap_kernel(centers, delta)
-    return float(np.real(alphas.conj() @ kernel @ alphas))
-
-
-def exact_mean(amps: Sequence[tuple[float, complex]], delta: float) -> float:
-    """Mean pointer position of the post-selected density, grid-free."""
-    centers = np.array([c for c, _ in amps], dtype=float)
-    alphas = np.array([a for _, a in amps], dtype=complex)
-    kernel = _overlap_kernel(centers, delta)
-    pair_weight = np.real(np.outer(alphas.conj(), alphas) * kernel)
-    midpoints = (centers[:, None] + centers[None, :]) / 2.0
-    total = pair_weight.sum()
-    if total <= 1e-24:
-        raise PostSelectionImpossible("post-selected state carries no weight")
-    return float((pair_weight * midpoints).sum() / total)
-
-
-@dataclass(frozen=True)
 class Density:
-    """Tabulated post-selected pointer density, normalized on its grid."""
+    """Post-selected pointer density of amps [(c_i, alpha_i)]: closed-form rate, moments
+    and masses, and the table `xs`, `ps` that `sample` inverts, built on first use."""
 
-    xs: np.ndarray
-    ps: np.ndarray
-    rate: float
+    def __init__(self, amps: Sequence[tuple[float, complex]], delta: float):
+        if not amps:
+            raise PostSelectionImpossible("no branches to build a density from")
+        self.delta = delta = float(delta)
+        self.centers = np.array([c for c, _ in amps], dtype=float)
+        self.alphas = np.array([a for _, a in amps], dtype=complex)
+        far = float(np.max(np.abs(self.centers)))
+        reach = far + _REACH * delta  # the sampler sums n < 2^64 squares of up to this size
+        if not (math.isfinite(reach * reach * 2.0**64) and math.isfinite(1.0 / delta)):
+            raise PointerRangeError(f"delta = {delta!r} with centres up to |c| = {far!r}: "
+                                    "1/delta or 2^64 (max|c| + 10 delta)^2 overflows")
+        z = (self.centers[:, None] - self.centers[None, :]) / delta
+        with np.errstate(over="ignore"):  # z * z overflows only where the kernel is 0
+            kernel = np.exp(-(z * z) / 8.0)
+        self.mids = (self.centers[:, None] + self.centers[None, :]) / 2.0
+        self.weights = np.real(np.outer(self.alphas.conj(), self.alphas)) * kernel
+        self.rate = float(self.weights.sum())
+        if self.rate <= 1e-24:
+            raise PostSelectionImpossible("post-selected state carries no weight")
 
     def mean(self) -> float:
-        return float(np.trapezoid(self.xs * self.ps, self.xs))
+        return float((self.weights * self.mids).sum() / self.rate)
+
+    def variance(self) -> float:
+        """sum w (m^2 + delta^2) / rate - mean^2, summed about the mean."""
+        dev = self.mids - self.mean()
+        return float((self.weights * (dev * dev + self.delta**2)).sum() / self.rate)
 
     def mass_between(self, lo: float, hi: float) -> float:
-        mask = (self.xs >= lo) & (self.xs <= hi)
-        return float(np.trapezoid(self.ps[mask], self.xs[mask]))
+        """Mass on [lo, hi], from the normal CDF of each pair term."""
+        s, pairs = self.delta * math.sqrt(2.0), zip(self.weights.flat, self.mids.flat)
+        total = sum(w * (math.erfc((m - hi) / s) - math.erfc((m - lo) / s)) for w, m in pairs)
+        return total / (2.0 * self.rate)
+
+    @functools.cached_property
+    def xs(self) -> np.ndarray:
+        """`_NODES` strictly increasing nodes over the merged windows c_i +- 10 delta,
+        shared out by window length; rounding the running total hands out the remainder."""
+        c = np.sort(self.centers)
+        lo, hi = c - _REACH * self.delta, c + _REACH * self.delta
+        first = np.concatenate(([True], lo[1:] > hi[:-1]))  # starts a merged window
+        lo, hi = lo[first], hi[np.append(first[1:], True)]
+        if np.all(hi > lo):
+            ends = np.rint(_NODES * np.cumsum(hi - lo) / (hi - lo).sum()).astype(int)
+            counts = np.diff(ends, prepend=0)
+            xs = np.concatenate([np.linspace(a, b, k) for a, b, k in zip(lo, hi, counts)])
+            if counts.min() >= 2 and np.all(np.diff(xs) > 0):
+                return xs
+        raise PointerRangeError(f"delta = {self.delta!r} is too small: a window c +- 10 delta "
+                                "holds too few distinct doubles for its share of the nodes")
+
+    @functools.cached_property
+    def ps(self) -> np.ndarray:
+        """|sum_i alpha_i G(x; c_i, delta)|^2 / rate at the nodes; never negative."""
+        psi = sum(a * gaussian_amplitude(self.xs, c, self.delta)
+                  for c, a in zip(self.centers, self.alphas))
+        return np.abs(psi) ** 2 / self.rate
 
 
-def pointer_density(
-    amps: Sequence[tuple[float, complex]], cfg: PointerConfig
-) -> Density:
-    """|sum_lambda amp_lambda G(x; center_lambda)|^2, normalized on the grid."""
-    amps = list(amps)
-    if not amps:
-        raise PostSelectionImpossible("no branches to build a density from")
-    rate = exact_rate(amps, cfg.delta)
-    if rate <= 1e-24:
-        raise PostSelectionImpossible("post-selected state carries no weight")
-    xs = cfg.grid_points()
-    psi = np.zeros_like(xs, dtype=complex)
-    for center, amp in amps:
-        psi += amp * gaussian_amplitude(xs, center, cfg.delta)
-    raw = np.abs(psi) ** 2
-    norm = np.trapezoid(raw, xs)
-    return Density(xs=xs, ps=raw / norm, rate=rate)
+def pointer_density(amps: Sequence[tuple[float, complex]], cfg: PointerConfig) -> Density:
+    """The post-selected pointer density of amps at cfg's spread."""
+    return Density(list(amps), cfg.delta)
 
 
 @dataclass(frozen=True)

@@ -28,9 +28,9 @@ from prepost.histories import (
     consistency,
 )
 from prepost.pointer import (
+    Density,
     PointerConfig,
     entangle,
-    exact_mean,
     pointer_density,
     postselect,
     simulate,
@@ -170,7 +170,7 @@ def test_criterion_08_pointer_means(acceptance):
 
     cfg_wide = PointerConfig(delta=100.0)
     amps, _ = postselect(entangle(obs, sc.pre, cfg_wide), sc.post, cfg_wide)
-    exact = exact_mean(amps, cfg_wide.delta)
+    exact = Density(amps, cfg_wide.delta).mean()
 
     start = time.monotonic()
     ens = simulate(obs, sc.pre, sc.post, PointerConfig(delta=10.0), n=10**6, seed=11)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from prepost import scenarios, scenfile
+from prepost import PointerConfig, entangle, pointer_density, postselect, scenarios, scenfile
 from prepost.cli import main
 from prepost.pointer import _CHUNK
 
@@ -136,6 +136,42 @@ def test_simulate_stdout_does_not_depend_on_samples_out(capsys, tmp_path):
     assert (code, err) == (0, "")
     assert with_samples == without
     assert len(samp.read_text().splitlines()) == _CHUNK + 4
+
+
+def _three_box_c_density(delta, coupling=1.0):
+    sc = scenarios.three_box()
+    cfg = PointerConfig(delta=delta, coupling=coupling)
+    amps, _ = postselect(entangle(sc.observables["C"], sc.pre, cfg), sc.post, cfg)
+    return pointer_density(amps, cfg)
+
+
+@pytest.mark.parametrize("delta, coupling", [(1e-5, 1.0), (0.1, 20.0)])
+def test_simulate_sharp_and_far_branch_means(capsys, delta, coupling):
+    n = 10**6
+    code, out, err = run_cli(
+        capsys, "simulate", "builtin:three-box", "--obs", "C", "--n", str(n),
+        "--delta", repr(delta), "--coupling", repr(coupling),
+    )
+    assert (code, err) == (0, "")
+    density = _three_box_c_density(delta, coupling)
+    stderr = (density.variance() / n) ** 0.5
+    assert abs(float(kv(out)["mean"]) - 0.2 * coupling) <= 6 * stderr
+
+
+@pytest.mark.parametrize("delta", ["1e-300", "1e-100", "1e-14", "1e154", "1e200"])
+def test_extreme_delta_gives_a_checked_mean_or_one_error(capsys, delta):
+    n = 1000
+    code, out, err = run_cli(
+        capsys, "simulate", "builtin:three-box", "--obs", "C", "--n", str(n), "--delta", delta
+    )
+    if code == 0:
+        assert err == ""
+        density = _three_box_c_density(float(delta))
+        stderr = (density.variance() / n) ** 0.5
+        assert abs(float(kv(out)["mean"]) - density.mean()) <= 6 * stderr
+    else:
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1 and err.startswith("error kind=")
 
 
 def test_verify_builtins(capsys):

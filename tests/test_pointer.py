@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,8 +19,6 @@ from prepost import (
     State,
     as_observable,
     entangle,
-    exact_mean,
-    exact_rate,
     gaussian_amplitude,
     pointer_density,
     postselect,
@@ -52,18 +51,23 @@ def test_config_validation():
                 {"delta": 1.0, "x0": float("inf")}, {"delta": 1.0, "coupling": 0.0}):
         with pytest.raises(ValueError):
             PointerConfig(**bad)
-    with pytest.raises(ValueError):
-        PointerConfig(delta=1.0, grid=(0.0, 1.0, 1))
-    with pytest.raises(ValueError):
-        PointerConfig(delta=1.0, grid=(2.0, 1.0, 64))
 
 
-def test_default_grid_covers_shifted_branches():
-    cfg = PointerConfig(delta=3.0, x0=5.0)
-    x_min, x_max, n = cfg.grid
-    assert x_min == pytest.approx(5.0 - 26.0)
-    assert x_max == pytest.approx(5.0 + 26.0)
-    assert n == 2**14
+def test_support_covers_every_branch_window():
+    for cfg in (PointerConfig(delta=10.0), PointerConfig(delta=1e-5),
+                PointerConfig(delta=0.1, coupling=20.0), PointerConfig(delta=3.0, x0=5.0)):
+        amps, _ = _three_box_amps(cfg)
+        density = pointer_density(amps, cfg)
+        xs = density.xs
+        assert len(xs) == 2**14 and len(density.ps) == 2**14
+        assert np.all(np.diff(xs) > 0)
+        assert density.ps.min() >= 0.0
+        for center, _ in amps:
+            lo, hi = center - 10 * cfg.delta, center + 10 * cfg.delta
+            inside = xs[(xs >= lo) & (xs <= hi)]
+            assert xs[0] <= lo and hi <= xs[-1], (cfg, center)
+            # at least a thousand nodes span the window, with no gap at its ends
+            assert np.diff(np.concatenate(([lo], inside, [hi]))).max() <= 20 * cfg.delta / 1000
 
 
 def test_gaussian_amplitude_is_normalized_with_sd_delta():
@@ -176,32 +180,38 @@ def test_density_rate_and_mean_match_quadrature_oracle():
 
     raw, _ = quad(lambda x: abs(field(x)) ** 2, -np.inf, np.inf)
     first, _ = quad(lambda x: x * abs(field(x)) ** 2, -np.inf, np.inf)
-    assert exact_rate(amps, delta) == pytest.approx(raw, abs=1e-10)
-    assert exact_mean(amps, delta) == pytest.approx(first / raw, abs=1e-10)
+    exact = Density(amps, delta)
+    assert exact.rate == pytest.approx(raw, abs=1e-10)
+    assert exact.mean() == pytest.approx(first / raw, abs=1e-10)
     cfg = PointerConfig(delta=delta)
     density = pointer_density(amps, cfg)
     assert density.rate == pytest.approx(raw, abs=1e-10)
     assert density.mean() == pytest.approx(first / raw, abs=1e-9)
+    mean = first / raw
+    second, _ = quad(lambda x: (x - mean) ** 2 * abs(field(x)) ** 2, -np.inf, np.inf)
+    assert density.variance() == pytest.approx(second / raw, abs=1e-9)
+    below, _ = quad(lambda x: abs(field(x)) ** 2, -np.inf, 1.0)
+    assert density.mass_between(-np.inf, 1.0) == pytest.approx(below / raw, abs=1e-9)
 
 
 def test_rate_limits_recover_projective_and_overlap_statistics():
     amps, _ = _three_box_amps(PointerConfig(delta=1.0))
     # wide pointer: rate -> |<post|pre>|^2
-    assert exact_rate(amps, 1e6) == pytest.approx(1.0 / 9.0, abs=1e-9)
+    assert Density(amps, 1e6).rate == pytest.approx(1.0 / 9.0, abs=1e-9)
     # narrow pointer: rate -> sum of branch transition probabilities
-    assert exact_rate(amps, 1e-6) == pytest.approx(5.0 / 9.0, abs=1e-12)
+    assert Density(amps, 1e-6).rate == pytest.approx(5.0 / 9.0, abs=1e-12)
 
 
 def test_wide_pointer_mean_approaches_weak_value(rng):
     sc = three_box()
     cfg = PointerConfig(delta=100.0)
     amps, _ = _three_box_amps(cfg)
-    assert exact_mean(amps, 100.0) == pytest.approx(-1.0, abs=1e-3)
+    assert Density(amps, 100.0).mean() == pytest.approx(-1.0, abs=1e-3)
 
     hd = hardy()
     bs = entangle(hd.observables["N1"], hd.pre, cfg)
     hardy_amps, _ = postselect(bs, hd.post, cfg)
-    assert exact_mean(hardy_amps, 100.0) == pytest.approx(-1.0, abs=1e-3)
+    assert Density(hardy_amps, 100.0).mean() == pytest.approx(-1.0, abs=1e-3)
 
     for _ in range(20):
         dim = int(rng.integers(2, 5))
@@ -215,15 +225,15 @@ def test_wide_pointer_mean_approaches_weak_value(rng):
         obs = as_observable(p)
         bs = entangle(obs, pre, cfg)
         amps, _ = postselect(bs, post, cfg)
-        assert exact_mean(amps, 100.0) == pytest.approx(wv.real, abs=1e-3)
+        assert Density(amps, 100.0).mean() == pytest.approx(wv.real, abs=1e-3)
 
 
 def test_sharp_pointer_masses_match_abl():
     cfg = PointerConfig(delta=0.01)
     amps, _ = _three_box_amps(cfg)
     density = pointer_density(amps, cfg)
-    assert density.mass_between(0.5, cfg.grid[1]) == pytest.approx(0.2, abs=1e-6)
-    assert density.mass_between(cfg.grid[0], 0.5) == pytest.approx(0.8, abs=1e-6)
+    assert density.mass_between(0.5, np.inf) == pytest.approx(0.2, abs=1e-6)
+    assert density.mass_between(-np.inf, 0.5) == pytest.approx(0.8, abs=1e-6)
 
 
 def test_sampling_is_deterministic_and_seed_sensitive():
@@ -270,8 +280,8 @@ def _three_box_density(delta, coupling=1.0):
 
 
 # Deltas 10..0.01 put the mass on more and more nodes per guide cell and
-# leave longer flat tails; 1e-5 puts it on a few nodes (infinite slopes
-# elsewhere), and coupling 20 pushes one branch off the grid.
+# leave longer flat tails; 1e-5 puts each branch in a narrow window of its
+# own, and coupling 20 leaves a wide empty gap between the two windows.
 _SAMPLED = [(10.0, 1.0), (1.0, 1.0), (0.1, 1.0), (0.01, 1.0), (1e-5, 1.0), (0.1, 20.0)]
 
 
@@ -430,12 +440,31 @@ def test_sample_mean_tracks_exact_mean():
     cfg = PointerConfig(delta=10.0)
     amps, _ = _three_box_amps(cfg)
     density = pointer_density(amps, cfg)
-    target = exact_mean(amps, 10.0)
+    target = Density(amps, 10.0).mean()
     n = 200000
     ens = sample(density, n, seed=123)
     sd = np.sqrt(np.trapezoid((density.xs - target) ** 2 * density.ps, density.xs))
     assert abs(ens.mean - target) <= 5 * sd / np.sqrt(n)
     assert ens.variance == pytest.approx(np.var(ens.samples))
+
+
+@pytest.mark.parametrize("delta, coupling", [(1e-5, 1.0), (0.1, 20.0)])
+def test_sharp_and_far_branch_means_match_the_closed_form(delta, coupling):
+    # the ABL mean, with the eigenvalue-1 branch at x = coupling
+    density = _three_box_density(delta, coupling)
+    assert density.mean() == pytest.approx(0.2 * coupling, abs=1e-12)
+    n = 10**6
+    ens = sample(density, n, seed=8, keep_samples=False)
+    assert abs(ens.mean - 0.2 * coupling) <= 6 * np.sqrt(density.variance() / n)
+
+
+@pytest.mark.parametrize("delta", [10.0, 0.01])
+def test_sample_variance_matches_the_closed_form(delta):
+    density = _three_box_density(delta)
+    n = 10**6
+    ens = sample(density, n, seed=31)
+    spread = np.std((ens.samples - ens.mean) ** 2) / np.sqrt(n)
+    assert abs(ens.variance - density.variance()) <= 6 * spread
 
 
 def test_estimate_inverts_ready_position_and_coupling():
@@ -463,7 +492,7 @@ def test_hardy_pipeline_weak_estimate():
 
 
 def test_csv_exports_are_deterministic(tmp_path):
-    cfg = PointerConfig(delta=1.0, grid=(-4.0, 4.0, 257))
+    cfg = PointerConfig(delta=1.0)
     amps, _ = _three_box_amps(cfg)
     density = pointer_density(amps, cfg)
     ens = sample(density, 50, seed=2)
@@ -475,7 +504,7 @@ def test_csv_exports_are_deterministic(tmp_path):
     slines = spath.read_text().splitlines()
     assert dlines[0] == "x,p_x"
     assert slines[0] == "index,x"
-    assert len(dlines) == 258
+    assert len(dlines) == 2**14 + 1
     assert len(slines) == 51
     first = dpath.read_bytes()
     write_density_csv(density, str(dpath))
@@ -484,7 +513,7 @@ def test_csv_exports_are_deterministic(tmp_path):
 
 def test_csv_bytes_match_csv_writer(tmp_path):
     xs, ps = np.array([-1.5, -0.0, 0.1, 1e-300]), np.array([0.0, -0.0, 1 / 3, 2.5e22])
-    density = Density(xs, ps, 1.0)
+    density = SimpleNamespace(xs=xs, ps=ps)  # the writer reads only the table
     # more rows than one write batch, so the index runs on across batches
     samples = np.resize([-0.0, 1 / 3, -2.5e-17, 4.0, 1e22, -7.25], 2 * _WRITE_ROWS + 3)
     ens = PointerEnsemble(samples, 0.0, 0.0, density, 1.0)
