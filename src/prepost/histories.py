@@ -27,14 +27,10 @@ from .errors import (
     UndefinedWeight,
     UnknownEigenvalue,
 )
-from .linalg import CVec, inner
-from .quantum import ORTHO_TOL, Observable, Projector, State, weak_value
-
-#: Interference functionals at or below this magnitude count as zero.
-CONSISTENCY_TOL = 1e-10
-
-#: Agreement tolerance between ABL probabilities and conditional weights.
-AGREEMENT_TOL = 1e-10
+from .linalg import (
+    AGREEMENT_TOL, CONSISTENCY_TOL, REAL_TOL, ZERO_TOL, ZERO_WEIGHT_TOL, CVec, inner,
+)
+from .quantum import Observable, Projector, State, weak_value
 
 
 class FailureMode(Enum):
@@ -132,7 +128,7 @@ class ConsistencyReport:
 def _classify_functional(functional: complex, consistent: bool) -> FailureMode:
     if consistent:
         return FailureMode.NONE
-    real_enough = abs(functional.imag) <= CONSISTENCY_TOL
+    real_enough = abs(functional.imag) <= REAL_TOL
     if real_enough and 0.0 < functional.real < 1.0:
         return FailureMode.UNSHARP
     return FailureMode.STRANGE
@@ -148,7 +144,7 @@ def consistency(fam: Family) -> ConsistencyReport:
     overlap = inner(fam.post.vec, fam.pre.vec)
     functional = a * (overlap - a).conjugate()
     consistent = abs(functional) <= CONSISTENCY_TOL
-    if abs(overlap) <= ORTHO_TOL:
+    if abs(overlap) <= ZERO_TOL:
         factor_wv: Optional[complex] = None
         factor_wv_conj: Optional[complex] = None
     else:
@@ -182,7 +178,7 @@ def abl_probability(obs: Observable, pre: State, post: State, outcome: float) ->
         return abs(proj.amplitude(post.vec, pre.vec)) ** 2
 
     denom = sum(term(proj) for proj in obs.projectors)
-    if denom <= 1e-12:
+    if denom <= ZERO_WEIGHT_TOL:
         raise UndefinedABL(
             "every intermediate outcome is incompatible with this pre/post pair"
         )
@@ -193,13 +189,11 @@ def abl_from_weak_values(wv: complex) -> float:
     """ABL probability of a projector outcome from its weak value alone.
 
     |wv|^2 / (|wv|^2 + |1-wv|^2); valid because projector weak values
-    determine both branch amplitudes up to a common factor.
+    determine both branch amplitudes up to a common factor.  The denominator
+    is at least 1/2, since |wv| + |1-wv| >= 1.
     """
     num = abs(wv) ** 2
-    alt = abs(1.0 - wv) ** 2
-    if num < 1e-24 and alt < 1e-24:
-        raise UndefinedABL("both branch moduli vanish; cannot normalize")
-    return num / (num + alt)
+    return num / (num + abs(1.0 - wv) ** 2)
 
 
 def _transition(d: Projector, e: Projector, f: Projector) -> np.ndarray:
@@ -222,7 +216,7 @@ def conditional_weight(e: Projector, d: Projector, f: Projector) -> float:
     """
     num = np.linalg.norm(_transition(d, e, f)) ** 2
     denom = np.linalg.norm(f.q.conj().T @ d.q) ** 2
-    if denom <= 1e-12:
+    if denom <= ZERO_WEIGHT_TOL:
         raise UndefinedWeight("Tr[DF] vanishes; conditional weight undefined")
     return float(num / denom)
 

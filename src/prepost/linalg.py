@@ -16,8 +16,31 @@ import numpy as np
 
 from .errors import BasisMismatch, DimensionError
 
-#: Default absolute tolerance for floating-point equality checks.
-ATOL = 1e-10
+# The tolerance table: each absolute threshold of prepost, named for the decision it makes.
+#: Arrays within this max-abs gap are equal: `allclose`, Q^dagger Q = I, M = M^dagger.
+EQUAL_TOL = 1e-10
+#: A state's norm, and the total squared norm of its pointer branches, is 1 within this.
+NORM_TOL = 1e-10
+#: A state in a scenario file without `normalize` must have norm 1 within this.
+DECLARED_NORM_TOL = 1e-6
+#: A norm, overlap, amplitude or singular value at or below this is zero (orthogonality).
+ZERO_TOL = 1e-12
+#: A squared norm at or below this is zero: an empty branch, an ABL or weight denominator.
+ZERO_WEIGHT_TOL = 1e-12
+#: A post-selected pointer density whose rate is at or below this carries no weight.
+ZERO_RATE_TOL = 1e-24
+#: Eigenvalues this close are one: spectra merge them, Observable rejects them, outcomes match.
+DEGENERACY_TOL = 1e-8
+#: A weak value within this of an eigenvalue is sharp (SWV).
+SHARP_TOL = 1e-10
+#: An imaginary part at or below this is zero (weak values, functionals, file eigenvalues).
+REAL_TOL = 1e-10
+#: A family is consistent when its interference functional is at most this in magnitude.
+CONSISTENCY_TOL = 1e-10
+#: An ABL probability and a conditional weight agree within this.
+AGREEMENT_TOL = 1e-10
+#: A value within this of an exact one is it: a fixture, a real sqrt argument, a 0/1 entry.
+EXACT_TOL = 1e-12
 
 #: Separator used when tensor products concatenate factor basis labels.
 LABEL_JOIN = "_"
@@ -70,9 +93,9 @@ class CVec:
     def norm(self) -> float:
         return float(np.linalg.norm(self.amps))
 
-    def allclose(self, other: "CVec", tol: float = ATOL) -> bool:
+    def allclose(self, other: "CVec") -> bool:
         return self.labels == other.labels and bool(
-            np.allclose(self.amps, other.amps, rtol=0.0, atol=tol)
+            np.allclose(self.amps, other.amps, rtol=0.0, atol=EQUAL_TOL)
         )
 
     def __add__(self, other: "CVec") -> "CVec":
@@ -136,9 +159,9 @@ class CMat:
     def dim(self) -> int:
         return self.entries.shape[0]
 
-    def allclose(self, other: "CMat", tol: float = ATOL) -> bool:
+    def allclose(self, other: "CMat") -> bool:
         return self.labels == other.labels and bool(
-            np.allclose(self.entries, other.entries, rtol=0.0, atol=tol)
+            np.allclose(self.entries, other.entries, rtol=0.0, atol=EQUAL_TOL)
         )
 
     def hermiticity_defect(self) -> float:

@@ -24,12 +24,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import BasisMismatch, DimensionError, PointerRangeError, PostSelectionImpossible
-from .linalg import CVec
+from .errors import BasisMismatch, PointerRangeError, PostSelectionImpossible
+from .linalg import (
+    NORM_TOL, ZERO_RATE_TOL, ZERO_TOL, ZERO_WEIGHT_TOL, CVec, check_same_basis,
+)
 from .quantum import Observable, State
-
-#: Branches with squared norm at or below this are dropped as empty.
-BRANCH_TOL = 1e-12
 
 #: Nodes of a density table, and the half-width in deltas of its window around each centre.
 _NODES, _REACH = 2**14, 10.0
@@ -89,7 +88,7 @@ class BranchState:
 
     def __post_init__(self):
         total = sum(b.system_component.norm() ** 2 for b in self.branches)
-        if abs(total - 1.0) > 1e-10:
+        if abs(total - 1.0) > NORM_TOL:
             raise ValueError(f"branch norms sum to {total:.12g}, expected 1")
 
 
@@ -105,18 +104,11 @@ def entangle(obs: Observable, pre: State, cfg: PointerConfig) -> BranchState:
     center x0 + coupling * lambda.  Branches with no amplitude are dropped,
     so an eigenstate input yields a single branch of norm 1.
     """
-    if obs.dim != pre.dim:
-        raise DimensionError(
-            f"observable dim {obs.dim} does not match state dim {pre.dim}"
-        )
-    if obs.labels != pre.labels:
-        raise BasisMismatch(
-            f"observable basis {obs.labels} does not match state basis {pre.labels}"
-        )
+    check_same_basis(obs.mat, pre.vec)
     branches = []
     for lam, proj in zip(obs.eigenvalues, obs.projectors):
         component = proj.apply(pre.vec)
-        if component.norm() ** 2 > BRANCH_TOL:
+        if component.norm() ** 2 > ZERO_WEIGHT_TOL:
             branches.append(Branch(cfg.x0 + cfg.coupling * lam, component))
     return BranchState(tuple(branches))
 
@@ -130,6 +122,12 @@ def postselect(
     rate needs cfg because finite-delta Gaussian overlaps between branch
     pointer states contribute interference terms.
     """
+    amps = _branch_amplitudes(bs, post)
+    return amps, Density(amps, cfg.delta).rate
+
+
+def _branch_amplitudes(bs: BranchState, post: State) -> list[tuple[float, complex]]:
+    """[(center, <post|component>)] for each branch of bs."""
     amps = []
     for b in bs.branches:
         if post.labels != b.system_component.labels:
@@ -140,11 +138,11 @@ def postselect(
         amps.append(
             (b.pointer_center, complex(np.vdot(post.vec.amps, b.system_component.amps)))
         )
-    if not amps or max(abs(a) for _, a in amps) <= 1e-12:
+    if not amps or max(abs(a) for _, a in amps) <= ZERO_TOL:
         raise PostSelectionImpossible(
             "post-selection state is orthogonal to every branch"
         )
-    return amps, Density(amps, cfg.delta).rate
+    return amps
 
 
 class Density:
@@ -168,7 +166,7 @@ class Density:
         self.mids = (self.centers[:, None] + self.centers[None, :]) / 2.0
         self.weights = np.real(np.outer(self.alphas.conj(), self.alphas)) * kernel
         self.rate = float(self.weights.sum())
-        if self.rate <= 1e-24:
+        if self.rate <= ZERO_RATE_TOL:
             raise PostSelectionImpossible("post-selected state carries no weight")
 
     def mean(self) -> float:
@@ -258,14 +256,13 @@ class _InverseCdf:
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             self.slopes = np.diff(xs) / np.diff(cdf)
 
-    def __call__(self, u: np.ndarray, out: np.ndarray, buf: Optional[_Buffers] = None):
+    def __call__(self, u: np.ndarray, out: np.ndarray, buf: _Buffers):
         """Write np.interp(u, cdf, xs) to out, with temporaries from buf.
 
         out may be u itself: u is last read before out is first written.
         """
-        cdf, xs, m = self.cdf, self.xs, len(u)
-        buf = buf or _Buffers(m)
-        f, cell, node, flag = buf.first(m)
+        cdf, xs = self.cdf, self.xs
+        f, cell, node, flag = buf.first(len(u))
         cell[...] = np.multiply(u, _GUIDE, out=f)  # truncates, as astype(np.intp)
         # Every index is in range, and mode="clip" lets take write to out unbuffered.
         np.take(self.guide, cell, out=node, mode="clip")
@@ -407,10 +404,8 @@ def simulate(
     keep_samples: bool = True,
 ) -> PointerEnsemble:
     """Full pipeline: entangle, post-select, tabulate the density, sample it."""
-    bs = entangle(obs, pre, cfg)
-    amps, _ = postselect(bs, post, cfg)
-    density = pointer_density(amps, cfg)
-    return sample(density, n, seed, keep_samples)
+    amps = _branch_amplitudes(entangle(obs, pre, cfg), post)
+    return sample(pointer_density(amps, cfg), n, seed, keep_samples)
 
 
 def _write_csv(path: str, header: str, n_rows: int, rows):

@@ -20,14 +20,9 @@ import numpy as np
 
 from .errors import DimensionError, NormalizationError, NotHermitian, UndefinedWeakValue
 from .linalg import (
-    ATOL, CMat, CVec, apply, check_same_basis, index_labels, inner, label_index,
+    DEGENERACY_TOL, EQUAL_TOL, NORM_TOL, REAL_TOL, SHARP_TOL, ZERO_TOL,
+    CMat, CVec, apply, check_same_basis, index_labels, inner, label_index,
 )
-
-#: Eigenvalues closer than this are merged into one degenerate projector.
-DEGENERACY_TOL = 1e-8
-
-#: Pre/post overlaps at or below this magnitude count as orthogonal.
-ORTHO_TOL = 1e-12
 
 
 class WeakValueClass(Enum):
@@ -45,7 +40,7 @@ class State:
 
     def __post_init__(self):
         norm = self.vec.norm()
-        if abs(norm - 1.0) > ATOL:
+        if abs(norm - 1.0) > NORM_TOL:
             raise NormalizationError(
                 f"state {self.label or '<unnamed>'} has norm {norm:.12g}, expected 1"
             )
@@ -65,7 +60,7 @@ class State:
         """Build a state from raw amplitudes, dividing out the norm."""
         vec = amps if isinstance(amps, CVec) else CVec(np.asarray(amps), tuple(labels))
         norm = vec.norm()
-        if norm <= ORTHO_TOL:
+        if norm <= ZERO_TOL:
             raise NormalizationError(f"cannot normalize zero vector {label!r}")
         return cls(vec / norm, label)
 
@@ -88,7 +83,7 @@ class Projector:
         labels = tuple(self.labels) if self.labels else index_labels(q.shape[0])
         if len(labels) != q.shape[0]:
             raise DimensionError(f"{len(labels)} labels for dimension {q.shape[0]}")
-        if np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) > ATOL:
+        if np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) > EQUAL_TOL:
             raise ValueError("projector columns are not orthonormal")
         q.setflags(write=False)
         object.__setattr__(self, "q", q)
@@ -149,7 +144,7 @@ class Projector:
         """Rank-one projector |v><v| onto a (normalized) vector."""
         vec = target.vec if isinstance(target, State) else target
         norm = vec.norm()
-        if norm <= ORTHO_TOL:
+        if norm <= ZERO_TOL:
             raise ValueError("cannot project onto the zero vector")
         return cls((vec.amps / norm)[:, None], vec.labels)
 
@@ -160,7 +155,7 @@ class Projector:
             raise ValueError("span requires at least one vector")
         cols = np.column_stack([v.amps for v in vectors])
         u, s, _ = np.linalg.svd(cols, full_matrices=False)
-        return cls(u[:, s > 1e-12], vectors[0].labels)
+        return cls(u[:, s > ZERO_TOL], vectors[0].labels)
 
     @classmethod
     def on_labels(cls, labels: Sequence[str], subset: Sequence[str]) -> "Projector":
@@ -183,8 +178,8 @@ class Observable:
 
     `eigenvalues` are the distinct eigenvalues in ascending order and
     `projectors` the matching spectral projectors (degenerate eigenvalues
-    share one higher-rank projector).  Side by side, the projectors'
-    columns must form a unitary matrix.
+    share one higher-rank projector, so no two lie within DEGENERACY_TOL).
+    Side by side, the projectors' columns must form a unitary matrix.
     """
 
     mat: CMat
@@ -193,18 +188,21 @@ class Observable:
 
     def __post_init__(self):
         defect = self.mat.hermiticity_defect()
-        if defect > ATOL:
+        if defect > EQUAL_TOL:
             raise NotHermitian(f"observable matrix deviates from Hermitian by {defect:.3g}")
         if len(self.eigenvalues) != len(self.projectors):
             raise ValueError("eigenvalue list and projector list differ in length")
-        if list(self.eigenvalues) != sorted(self.eigenvalues):
-            raise ValueError("eigenvalues must be ascending")
+        for lo, hi in zip(self.eigenvalues, self.eigenvalues[1:]):
+            if hi < lo:
+                raise ValueError("eigenvalues must be ascending")
+            if hi - lo <= DEGENERACY_TOL:
+                raise ValueError(f"spectrum repeats eigenvalue {lo:g}")
         v = np.hstack([p.q for p in self.projectors])
         if v.shape[1] != self.dim:
             raise ValueError(
                 f"spectral projector ranks sum to {v.shape[1]}, not to the dimension {self.dim}"
             )
-        if np.max(np.abs(v.conj().T @ v - np.eye(self.dim))) > ATOL:
+        if np.max(np.abs(v.conj().T @ v - np.eye(self.dim))) > EQUAL_TOL:
             raise ValueError("spectral projectors are not mutually orthogonal")
 
     @property
@@ -215,9 +213,9 @@ class Observable:
     def labels(self) -> tuple[str, ...]:
         return self.mat.labels
 
-    def projector_for(self, outcome: float, tol: float = DEGENERACY_TOL) -> Projector:
+    def projector_for(self, outcome: float) -> Projector:
         for lam, proj in zip(self.eigenvalues, self.projectors):
-            if abs(lam - outcome) <= tol:
+            if abs(lam - outcome) <= DEGENERACY_TOL:
                 return proj
         raise KeyError(outcome)
 
@@ -250,13 +248,8 @@ def as_observable(op: OperatorLike) -> Observable:
     if isinstance(op, Observable):
         return op
     if isinstance(op, Projector):
-        pairs: list[tuple[float, Projector]] = []
-        if op.rank < op.dim:
-            pairs.append((0.0, op.complement()))
-        if op.rank > 0:
-            pairs.append((1.0, op))
-        eigenvalues = tuple(lam for lam, _ in pairs)
-        projectors = tuple(p for _, p in pairs)
+        eigenvalues = op.eigenvalue_set()
+        projectors = tuple(op.complement() if lam == 0.0 else op for lam in eigenvalues)
         return Observable(op.mat, eigenvalues, projectors)
     raise TypeError(f"expected Observable or Projector, got {type(op).__name__}")
 
@@ -264,16 +257,16 @@ def as_observable(op: OperatorLike) -> Observable:
 def classify(value: complex, eigenvalues: Sequence[float]) -> WeakValueClass:
     """Classify a weak value against an eigenvalue set.
 
-    Sharp when within ATOL of some eigenvalue; unsharp when real and inside
+    Sharp when within SHARP_TOL of some eigenvalue; unsharp when real and inside
     the closed eigenvalue range; strange otherwise, including every value
     with a non-negligible imaginary part.
     """
     if not eigenvalues:
         raise ValueError("eigenvalue list must be non-empty")
     v = complex(value)
-    if any(abs(v - lam) <= ATOL for lam in eigenvalues):
+    if any(abs(v - lam) <= SHARP_TOL for lam in eigenvalues):
         return WeakValueClass.SWV
-    if abs(v.imag) <= ATOL and min(eigenvalues) <= v.real <= max(eigenvalues):
+    if abs(v.imag) <= REAL_TOL and min(eigenvalues) <= v.real <= max(eigenvalues):
         return WeakValueClass.UWV
     return WeakValueClass.STWV
 
@@ -295,7 +288,7 @@ def weak_value(op: OperatorLike, pre: State, post: State) -> WeakValueReport:
     if not isinstance(op, (Observable, Projector)):
         raise TypeError(f"expected Observable or Projector, got {type(op).__name__}")
     overlap = inner(post.vec, pre.vec)
-    if abs(overlap) <= ORTHO_TOL:
+    if abs(overlap) <= ZERO_TOL:
         raise UndefinedWeakValue(
             "pre- and post-selection states are orthogonal; weak value undefined"
         )

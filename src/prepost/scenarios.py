@@ -33,7 +33,7 @@ from .histories import (
     conditional_weight,
     consistency,
 )
-from .linalg import CVec, inner, tensor
+from .linalg import EXACT_TOL, CVec, inner, tensor
 from .quantum import (
     Observable,
     Projector,
@@ -42,9 +42,6 @@ from .quantum import (
     as_observable,
     weak_value,
 )
-
-#: Fixture recomputation tolerance; all stored values are exact surds.
-FIXTURE_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -110,7 +107,7 @@ class Scenario:
         results = []
         for key, exp in self.expected.items():
             got, extra_ok, detail = self._recompute(exp)
-            passed = abs(got - exp.value) <= FIXTURE_TOL and extra_ok
+            passed = abs(got - exp.value) <= EXACT_TOL and extra_ok
             results.append(
                 CheckResult(
                     name=key,

@@ -32,7 +32,9 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NormalizationError, NotHermitian, ParseError
-from .linalg import CVec, CMat, label_index
+from .linalg import (
+    DECLARED_NORM_TOL, EXACT_TOL, REAL_TOL, ZERO_TOL, CMat, CVec, label_index,
+)
 from .quantum import Observable, Projector, State
 from .scenarios import Scenario
 
@@ -133,7 +135,7 @@ def _complex_value(tok: Token, minus_against: bool) -> complex:
 
 
 def _checked_sqrt(value: complex, tok: Token) -> complex:
-    if abs(value.imag) > 1e-12 or value.real < 0:
+    if abs(value.imag) > EXACT_TOL or value.real < 0:
         raise ParseError("sqrt argument must be a nonnegative real", tok.line, tok.col)
     return complex(math.sqrt(value.real))
 
@@ -358,7 +360,7 @@ class _Parser:
             terms = _parse_sum(cur, _parse_obs_term)
             decl_terms = []
             for coeff, tok in terms:
-                if abs(coeff.imag) > 1e-10:
+                if abs(coeff.imag) > REAL_TOL:
                     raise ParseError(
                         f"eigenvalue for {tok.text!r} must be real", tok.line, tok.col
                     )
@@ -499,9 +501,9 @@ def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
             amps[index[label]] += coeff
         vec = CVec(amps, doc.basis)
         norm = vec.norm()
-        if norm <= 1e-12:
+        if norm <= ZERO_TOL:
             raise NormalizationError(f"state {st.name!r} has zero norm", st.line)
-        if not st.normalize and abs(norm - 1.0) > 1e-6:
+        if not st.normalize and abs(norm - 1.0) > DECLARED_NORM_TOL:
             raise NormalizationError(
                 f"state {st.name!r} has norm {norm:.9g}; fix the amplitudes or "
                 "declare it with 'normalize'",
@@ -537,11 +539,6 @@ def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
                 )
             pairs.append((lam, projs[pname]))
         pairs.sort(key=lambda p: p[0])
-        for (l1, _), (l2, _) in zip(pairs, pairs[1:]):
-            if l2 - l1 <= 1e-8:
-                raise ParseError(
-                    f"observable {ob.name!r} repeats eigenvalue {l1:g}", ob.line
-                )
         # V diag(lambda) V^dagger, with V the projectors' columns side by side
         v = np.hstack([p.q for _, p in pairs])
         lams = np.concatenate([np.full(p.rank, lam) for lam, p in pairs])
@@ -607,16 +604,13 @@ def doc_from_scenario(sc: Scenario) -> ScenarioDoc:
     for oname, obs in sc.observables.items():
         terms = []
         for k, (lam, proj) in enumerate(zip(obs.eigenvalues, obs.projectors)):
-            diag = np.diag(proj.mat.entries)
-            off = proj.mat.entries - np.diag(diag)
-            if np.max(np.abs(off)) > 1e-12 or np.max(np.abs(diag.imag)) > 1e-12:
+            ones = np.abs(np.diag(proj.mat.entries) - 1.0) <= EXACT_TOL
+            if np.max(np.abs(proj.mat.entries - np.diag(ones))) > EXACT_TOL:
                 raise ValueError(
                     f"observable {oname!r} has a non-diagonal spectral projector; "
                     "cannot express it as span() of basis labels"
                 )
-            members = tuple(
-                lab for lab, d in zip(labels, diag.real) if abs(d - 1.0) <= 1e-12
-            )
+            members = tuple(lab for lab, one in zip(labels, ones) if one)
             pname = f"P_{oname}_{k}"
             proj_decls.append(ProjDecl(pname, "span", members))
             terms.append((float(lam), pname))

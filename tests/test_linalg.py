@@ -1,6 +1,11 @@
+import re
+import tokenize
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import prepost
 from prepost import BasisMismatch, CMat, CVec, DimensionError
 from prepost.linalg import (
     adjoint,
@@ -124,3 +129,18 @@ def test_tensor_matches_kron(rng):
     tm = tensor(m, n)
     assert np.allclose(tm.entries, np.kron(m.entries, n.entries))
     assert tm.labels == tensor_labels(m.labels, n.labels)
+
+
+def test_thresholds_are_written_only_in_the_tolerance_table():
+    # a 1e-... number token outside a `NAME_TOL = value` line of linalg is a threshold
+    # that bypasses the table; docstrings and comments are not number tokens
+    stray = []
+    for path in sorted(Path(prepost.__file__).parent.glob("*.py")):
+        with open(path, "rb") as handle:
+            for tok in tokenize.tokenize(handle.readline):
+                if tok.type != tokenize.NUMBER or not re.search(r"[eE]-", tok.string):
+                    continue
+                if path.name == "linalg.py" and re.fullmatch(r"[A-Z_]+_TOL = \S+\s*", tok.line):
+                    continue
+                stray.append(f"{path.name}:{tok.start[0]}: {tok.string}")
+    assert not stray

@@ -33,7 +33,7 @@ from prepost import (
 )
 
 from prepost import pointer as pointer_module
-from prepost.pointer import Density, _CHUNK, _GUIDE, _InverseCdf, _WRITE_ROWS
+from prepost.pointer import Density, _Buffers, _CHUNK, _GUIDE, _InverseCdf, _WRITE_ROWS
 
 from conftest import random_state_pair
 
@@ -151,6 +151,20 @@ def test_postselect_completeness_over_a_basis():
         assert totals[b.pointer_center] == pytest.approx(
             b.system_component.norm() ** 2, abs=1e-12
         )
+
+
+def test_simulate_builds_one_density(monkeypatch):
+    built = []
+    real_init = Density.__init__
+
+    def counted_init(self, *args):
+        built.append(args)
+        real_init(self, *args)
+
+    monkeypatch.setattr(Density, "__init__", counted_init)
+    sc = three_box()
+    simulate(sc.observables["C"], sc.pre, sc.post, PointerConfig(delta=1.0), 10, seed=0)
+    assert len(built) == 1
 
 
 def test_postselect_impossible_when_orthogonal_to_all_branches():
@@ -337,7 +351,7 @@ def test_guide_table_inverse_equals_interp(monkeypatch, n, delta):
 
     monkeypatch.setattr(np, "searchsorted", traced_search)
     out = np.empty(n)
-    inverse(u, out)
+    inverse(u, out, _Buffers(len(u)))
     assert np.array_equal(out, expected)
     assert searched[-1] > 0  # the walk handed draws to the binary search
 

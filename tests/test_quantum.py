@@ -16,7 +16,7 @@ from prepost import (
     spectral_decompose,
     weak_value,
 )
-from prepost.quantum import DEGENERACY_TOL
+from prepost.linalg import DEGENERACY_TOL
 
 from conftest import (
     random_hermitian,
@@ -127,6 +127,15 @@ def test_observable_validates_projector_data():
     tilted = Projector.onto(CVec(np.array([1.0, 1.0]), ("a", "b")))
     with pytest.raises(ValueError):
         Observable(mat, (0.0, 1.0), (tilted, p))
+    # eigenvalues within DEGENERACY_TOL are one eigenvalue, not two
+    for gap, rejected in ((0.0, True), (5e-9, True), (5e-8, False)):
+        lams = (1.0, 1.0 + gap)
+        mat = CMat(np.diag(lams), ("a", "b"))
+        if rejected:
+            with pytest.raises(ValueError, match="repeats eigenvalue 1$"):
+                Observable(mat, lams, (p, p.complement()))
+        else:
+            assert Observable(mat, lams, (p, p.complement())).eigenvalues == lams
 
 
 def test_as_observable_on_projectors():

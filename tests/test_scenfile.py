@@ -209,10 +209,16 @@ pre x
 post x
 proj P = |a><a|
 proj Q = |b><b|
-obs O = 1*P + 1*Q
+obs O = 1*P + {}*Q
 """
-    with pytest.raises(ParseError, match="repeats eigenvalue"):
-        to_scenario(parse(text))
+    # within DEGENERACY_TOL (1e-8) two eigenvalues are one, beyond it they are two
+    for second, rejected in (("1", True), ("1.000000005", True), ("1.00000005", False)):
+        if rejected:
+            with pytest.raises(ParseError, match="repeats eigenvalue 1$"):
+                to_scenario(parse(text.format(second)))
+        else:
+            lams = to_scenario(parse(text.format(second))).observables["O"].eigenvalues
+            assert lams == (1.0, float(second))
 
 
 def test_complex_eigenvalue_is_rejected():
