@@ -215,10 +215,11 @@ def conditional_weight(e: Projector, d: Projector, f: Projector) -> float:
     probability only on consistent families.
     """
     num = np.linalg.norm(_transition(d, e, f)) ** 2
-    denom = np.linalg.norm(f.q.conj().T @ d.q) ** 2
-    if denom <= ZERO_WEIGHT_TOL:
+    # sqrt Tr[DF] = ||Q_f^dagger Q_d||, which is |<f|d>| for rank-1 d and f.
+    overlap = np.linalg.norm(f.q.conj().T @ d.q)
+    if overlap <= ZERO_TOL:
         raise UndefinedWeight("Tr[DF] vanishes; conditional weight undefined")
-    return float(num / denom)
+    return float(num / overlap**2)
 
 
 def abl_weight_agreement(fam: Family) -> bool:

@@ -19,13 +19,14 @@ from .errors import BasisMismatch, DimensionError
 # The tolerance table: each absolute threshold of prepost, named for the decision it makes.
 #: Arrays within this max-abs gap are equal: `allclose`, Q^dagger Q = I, M = M^dagger.
 EQUAL_TOL = 1e-10
-#: A state's norm, and the total squared norm of its pointer branches, is 1 within this.
+#: A state's norm, and the total norm of its pointer branches, is 1 within this.
 NORM_TOL = 1e-10
 #: A state in a scenario file without `normalize` must have norm 1 within this.
 DECLARED_NORM_TOL = 1e-6
-#: A norm, overlap, amplitude or singular value at or below this is zero (orthogonality).
+#: A norm, overlap, amplitude or singular value at or below this is zero (orthogonality),
+#: and so is a weight denominator's sqrt Tr[DF] = ||Q_f^dagger Q_d||, |<f|d>| at rank 1.
 ZERO_TOL = 1e-12
-#: A squared norm at or below this is zero: an empty branch, an ABL or weight denominator.
+#: A squared norm at or below this is zero: an empty branch, an ABL denominator.
 ZERO_WEIGHT_TOL = 1e-12
 #: A post-selected pointer density whose rate is at or below this carries no weight.
 ZERO_RATE_TOL = 1e-24

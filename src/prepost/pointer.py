@@ -20,7 +20,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -43,10 +43,18 @@ _BLOCK = 2**15
 #: Equal cells of [0, 1) in the guide table of the inverse CDF.
 _GUIDE = 2**16
 
-#: CSV rows formatted and written at a time.  A batch's row strings take
-#: about 80 bytes a row, so a small batch keeps them well below the arrays
-#: being written.
+#: CSV rows formatted and written at a time.  One row matrix (49 bytes a
+#: row in samples.csv, 79 in density.csv) is reused for every batch.  A
+#: batch's temporaries must stay small: with 8192 rows, malloc returned
+#: their pages to the OS after each batch and faulted them in again (350
+#: page faults a batch), and the write took 25% longer.
 _WRITE_ROWS = 2**12
+
+#: Columns of one float in a CSV row matrix: sign, 16 integer digits, the
+#: point and 20 fraction digits, which spans repr's fixed notation from
+#: 1e-4 to 2^53.  Any other value's repr (at most 24 bytes) fills the first
+#: columns instead.
+_FLOAT_COLS = 38
 
 
 @dataclass(frozen=True)
@@ -87,9 +95,10 @@ class BranchState:
     branches: tuple[Branch, ...]
 
     def __post_init__(self):
-        total = sum(b.system_component.norm() ** 2 for b in self.branches)
-        if abs(total - 1.0) > NORM_TOL:
-            raise ValueError(f"branch norms sum to {total:.12g}, expected 1")
+        # The branches split one state, so their total norm is held to the state's own check.
+        norm = math.sqrt(sum(b.system_component.norm() ** 2 for b in self.branches))
+        if abs(norm - 1.0) > NORM_TOL:
+            raise ValueError(f"branches have total norm {norm:.12g}, expected 1")
 
 
 def gaussian_amplitude(x, center: float, delta: float):
@@ -408,31 +417,221 @@ def simulate(
     return sample(pointer_density(amps, cfg), n, seed, keep_samples)
 
 
-def _write_csv(path: str, header: str, n_rows: int, rows):
-    """Write the header, then rows(lo, hi) for each batch of `_WRITE_ROWS` rows.
+class _TextTables(NamedTuple):
+    """Constant tables of the CSV formatter."""
 
-    Lines end in csv.writer's default \\r\\n.  Batches keep the text of
-    the whole file from being held in memory at once.
+    ten: np.ndarray  # 10^0..10^19 as uint64
+    five: np.ndarray  # 5^0..5^20 as uint64
+    decades: np.ndarray  # the doubles nearest 10^-4..10^16
+    digits: np.ndarray  # the ASCII of each 4-digit group 0000..9999 as one uint32
+    # Row 21 a + f, for a < 16 and f <= 20: a 36-byte mask (as 9 uint32) that keeps
+    # digit columns a..15 and 16..15+f, the integer and fraction digits of a number.
+    masks: np.ndarray
+
+
+@functools.cache
+def _text_tables() -> _TextTables:
+    """The formatter's tables, built on first use so that importing stays cheap."""
+    ten = np.array([10**i for i in range(20)], dtype=np.uint64)
+    five = np.array([5**i for i in range(21)], dtype=np.uint64)
+    decades = np.array([float(f"1e{j}") for j in range(-4, 17)])
+    groups = np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
+    digits = groups.astype(np.uint8).view(np.uint32).ravel()
+    col = np.arange(36)
+    keep = (col >= np.arange(16)[:, None, None]) & (col < 16 + np.arange(21)[:, None])
+    masks = (keep * 255).astype(np.uint8).view(np.uint32).reshape(16 * 21, 9)
+    return _TextTables(ten, five, decades, digits, masks)
+
+
+def _mul_128(a: np.ndarray, b: np.ndarray) -> tuple:
+    """(high, low) 64-bit halves of a * b for uint64 a < 2^55 and b < 2^47, in 32-bit limbs."""
+    u32, low32 = np.uint64(32), np.uint64(0xFFFFFFFF)
+    a1, a0, b1, b0 = a >> u32, a & low32, b >> u32, b & low32
+    p00 = a0 * b0
+    mid = a0 * b1 + a1 * b0 + (p00 >> u32)  # < 2^56
+    return a1 * b1 + (mid >> u32), (mid << u32) | (p00 & low32)
+
+
+def _shift_128(high: np.ndarray, low: np.ndarray, s: np.ndarray) -> tuple:
+    """Quotient and remainder of (high 2^64 + low) / 2^s, for 1 <= s <= 63."""
+    one = np.uint64(1)
+    return (high << (np.uint64(64) - s)) | (low >> s), low & ((one << s) - one)
+
+
+def _put_groups(v: np.ndarray, out: np.ndarray):
+    """Write the ASCII of uint64 v's last 4 c digits into out (n, c) uint32, four per column."""
+    digits = _text_tables().digits
+    for c in range(out.shape[1] - 1, 0, -1):
+        rest = v // np.uint64(10**4)
+        out[:, c] = digits[v - rest * np.uint64(10**4)]
+        v = rest
+    out[:, 0] = digits[v]
+
+
+def _interval(mag: np.ndarray, k: np.ndarray) -> tuple:
+    """Scale the positive normal doubles mag by 10^k, with mag 10^k in [10^16, 10^17).
+
+    Returns the integer part and the remainder (over 2^s) of mag 10^k, s,
+    and of the reals that read back as mag, scaled: the largest integer
+    `top` and one less than the smallest, `below`.
+
+    mag = m 2^q with 2^52 <= m < 2^53.  Those reals lie within half a gap
+    of mag, (2m +- 1) 2^(q-1), except that the gap below m = 2^52 is half
+    as wide: (4m - 1) 2^(q-2).  Scaled, mag and these ends are 4m 5^k and
+    (4m +- 2) 5^k (or (4m - 1) 5^k) over 2^s with s = 2 - q - k in [1, 49],
+    each split exactly from a 128-bit product.  Round-half-even reading
+    keeps the ends only for even m.
     """
-    with open(path, "w", newline="") as handle:
-        handle.write(header + "\r\n")
-        for lo in range(0, n_rows, _WRITE_ROWS):
-            handle.write("".join(rows(lo, lo + _WRITE_ROWS)))
+    u64 = np.uint64
+    five = _text_tables().five[k]
+    bits = mag.view(u64)
+    m = (bits & u64(2**52 - 1)) | u64(2**52)
+    s = u64(1077) - k.astype(u64) - (bits >> u64(52))  # q = exponent field - 1075
+    high, low = _mul_128(m << u64(2), five)
+    wide = five << u64(1)
+    narrow = np.where(m == u64(2**52), five, wide)
+    v_int, v_rem = _shift_128(high, low, s)
+    w_low = low + wide
+    w_int, w_rem = _shift_128(high + (w_low < low), w_low, s)
+    u_int, u_rem = _shift_128(high - (low < narrow), low - narrow, s)
+    closed = (m & u64(1)) == u64(0)
+    top = w_int - (~closed & (w_rem == u64(0)))
+    below = u_int - (closed & (u_rem == u64(0)))
+    return v_int, v_rem, s, top, below
+
+
+def _shortest(mag: np.ndarray, k: np.ndarray) -> tuple:
+    """repr's digits of mag as an integer `near` ~ mag 10^k, and its trailing zeros t.
+
+    Of the scaled integers that read back as mag, those with the most
+    trailing zeros give the shortest digits; of these, repr takes the one
+    nearest mag 10^k, ties to even.  This is the search of Ryu (Adams, PLDI
+    2018) over exact integer bounds.
+    """
+    u64 = np.uint64
+    ten = _text_tables().ten
+    v_int, v_rem, s, top, below = _interval(mag, k)
+    # A multiple of 10^t lies in (below, top] iff top mod 10^t < top - below.
+    # That count of integers is 1 to 23, so t >= 2 needs top mod 100 < count
+    # and then one more zero digit of top per step.
+    count = top - below
+    rest = top // u64(100)
+    last2 = top - rest * u64(100)
+    t = (last2 % u64(10) < count).astype(np.intp)
+    live = np.flatnonzero(last2 < count)
+    rest = rest[live]
+    t[live] = 2
+    while live.size:
+        zero = rest % u64(10) == u64(0)
+        live, rest = live[zero], rest[zero] // u64(10)
+        t[live] += 1
+    # The multiple of 10^t nearest mag 10^k.  At t = 0 the part rounded off
+    # is v_rem / 2^s; above, it is rem / 10^t, with v_rem != 0 breaking a tie
+    # upward.  One step brings it back into the interval.
+    step = ten[t]
+    q = v_int // step
+    rem = np.where(t == 0, v_rem, v_int - q * step)
+    half = np.where(t == 0, u64(1) << (s - u64(1)), step >> u64(1))
+    odd = (q & u64(1)) == u64(1)
+    near = (q + ((rem > half) | ((rem == half) & (odd | ((t != 0) & (v_rem != u64(0))))))) * step
+    near -= step * (near > top)
+    near += step * (near <= below)
+    return near, t
+
+
+def _put_repr(values: np.ndarray, out: np.ndarray):
+    """Write repr(float(v)) of each float64 value into its row of out, NUL-padded.
+
+    out is (n, `_FLOAT_COLS`) uint8.  repr prints the shortest digits that
+    read back as v.  For 1e-4 <= |v| < 2^53, which repr writes in fixed
+    notation, `_shortest` finds them for the whole column at once in uint64
+    arithmetic; they are laid out around a fixed point column, and the digit
+    columns outside repr's text are masked to NUL.  Every other value (zeros,
+    tiny, huge and non-finite ones) gets repr itself.
+    """
+    tables = _text_tables()
+    ten, decades, masks = tables.ten, tables.decades, tables.masks
+    values = np.asarray(values, dtype=np.float64)
+    mag = np.abs(values)
+    fast = (mag >= decades[0]) & (mag < 2.0**53)  # decades[0] is 1e-4
+    mag = np.where(fast, mag, 1.0)  # rows off the fast path are overwritten below
+    j = np.searchsorted(decades, mag, "right") - 5  # 10^j <= mag < 10^(j+1)
+    k = 16 - j
+    near, t = _shortest(mag, k)
+    # Fixed notation of near 10^-k: the integer part, and 20 fraction
+    # digits as frac 10^(j+4) = f8 10^12 + f12.
+    unit = ten[np.minimum(k, 19)]  # near < 10^17, so the integer part is 0 for k >= 17
+    whole = near // unit
+    frac = near - whole * unit
+    cut = ten[np.maximum(8 - j, 0)]
+    f8 = frac // cut
+    f12 = (frac - f8 * cut) * ten[j + 4]
+    f8 *= ten[np.maximum(j - 8, 0)]
+    chars = np.empty((len(values), 9), np.uint32)
+    _put_groups(whole, chars[:, :4])
+    _put_groups(f8, chars[:, 4:6])
+    _put_groups(f12, chars[:, 6:])
+    # Keep the integer digits from the first significant one (or the units
+    # digit) and the fraction digits up to the last significant one (or one).
+    chars &= np.take(masks, (15 - np.maximum(j, 0)) * 21 + np.maximum(16 - t - j, 1), axis=0)
+    text = chars.view(np.uint8)
+    out[:, 0] = np.signbit(values).view(np.uint8) * np.uint8(ord("-"))
+    out[:, 1:17] = text[:, :16]
+    out[:, 17] = ord(".")
+    out[:, 18:] = text[:, 16:]
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        out[slow] = 0
+        reprs = np.array([repr(v) for v in values[slow].tolist()], dtype="S24")
+        out[slow, :24] = reprs.view(np.uint8).reshape(-1, 24)
+
+
+def _put_index(lo: int, hi: int, out: np.ndarray):
+    """Write lo..hi-1 (< 10^16) in decimal, NUL-padded on the left, into the rows of out.
+
+    out has four columns per group of four digits, at most four groups.
+    """
+    tables = _text_tables()
+    count = out.shape[1] // 4
+    index = np.arange(lo, hi, dtype=np.uint64)
+    chars = np.empty((hi - lo, count), np.uint32)
+    _put_groups(index, chars)
+    # Row (a, 0) of masks keeps integer columns a..15, here from the first digit on.
+    lead = 15 - np.searchsorted(tables.ten[1:], index, "right")
+    chars &= np.take(tables.masks[:, 4 - count : 4], lead * 21, axis=0)
+    out[...] = chars.view(np.uint8)
+
+
+def _write_csv(path: str, header: str, values: np.ndarray, first_cols: int, put_first):
+    """Write the header, then per value: put_first's columns, a comma, its repr, \\r\\n.
+
+    Lines end in csv.writer's default \\r\\n.  Each batch of `_WRITE_ROWS`
+    rows is built in one reused uint8 matrix, whose NUL bytes are padding,
+    and written without them.
+    """
+    n = len(values)
+    rows = np.zeros((min(n, _WRITE_ROWS), first_cols + 1 + _FLOAT_COLS + 2), np.uint8)
+    rows[:, first_cols] = ord(",")
+    rows[:, -2:] = (ord("\r"), ord("\n"))
+    with open(path, "wb") as handle:
+        handle.write(header.encode() + b"\r\n")
+        for lo in range(0, n, _WRITE_ROWS):
+            hi = min(lo + _WRITE_ROWS, n)
+            batch = rows[: hi - lo]
+            put_first(lo, hi, batch[:, :first_cols])
+            _put_repr(values[lo:hi], batch[:, first_cols + 1 : -2])
+            handle.write(batch[batch != 0])
 
 
 def write_density_csv(density: Density, path: str):
-    def rows(lo, hi):
-        pairs = zip(density.xs[lo:hi].tolist(), density.ps[lo:hi].tolist())
-        return [f"{x!r},{p!r}\r\n" for x, p in pairs]
+    def put_x(lo, hi, out):
+        _put_repr(density.xs[lo:hi], out)
 
-    _write_csv(path, "x,p_x", len(density.xs), rows)
+    _write_csv(path, "x,p_x", density.ps, _FLOAT_COLS, put_x)
 
 
 def write_samples_csv(ens: PointerEnsemble, path: str):
     if ens.samples is None:
         raise ValueError("ensemble was sampled without keep_samples")
-
-    def rows(lo, hi):
-        return [f"{i},{x!r}\r\n" for i, x in enumerate(ens.samples[lo:hi].tolist(), lo)]
-
-    _write_csv(path, "index,x", len(ens.samples), rows)
+    digits = len(str(len(ens.samples) - 1))
+    _write_csv(path, "index,x", ens.samples, 4 * -(-digits // 4), _put_index)

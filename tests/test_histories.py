@@ -261,6 +261,22 @@ def test_conditional_weight_requires_overlapping_endpoints():
         conditional_weight(e, d, f)
 
 
+def test_weight_and_weak_value_share_one_zero_test():
+    # |<f|d>| = 1e-8 is far above ZERO_TOL although |<f|d>|^2 = 1e-16 is below
+    # ZERO_WEIGHT_TOL: the weight is defined wherever the weak value is.
+    labels = ("a", "b")
+    pre = State(CVec.basis_vector("a", labels))
+    post = State(CVec(np.array([1e-8, np.sqrt(1.0 - 1e-16)]), labels))
+    e = Projector.onto(CVec.basis_vector("a", labels))
+    wv = weak_value(e, pre, post).value
+    assert wv == pytest.approx(1.0, abs=1e-12)
+    weight = conditional_weight(e, Projector.onto(pre), Projector.onto(post))
+    assert weight == pytest.approx(abs(wv) ** 2, abs=1e-12)
+    assert weight == pytest.approx(1.0, abs=1e-12)
+    with pytest.raises(UndefinedWeight):  # an exactly orthogonal pair still has none
+        conditional_weight(e, Projector.onto(pre), Projector.onto(CVec.basis_vector("b", labels)))
+
+
 def test_conditional_weight_accepts_higher_rank_endpoints():
     labels = ("a", "b")
     ident = Projector.identity(labels)

@@ -1,8 +1,10 @@
 import csv
+import math
 import os
 import sys
 import threading
 import tracemalloc
+from fractions import Fraction
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +12,8 @@ import pytest
 from scipy.integrate import quad
 
 from prepost import (
+    Branch,
+    BranchState,
     CVec,
     DimensionError,
     PointerConfig,
@@ -33,7 +37,9 @@ from prepost import (
 )
 
 from prepost import pointer as pointer_module
-from prepost.pointer import Density, _Buffers, _CHUNK, _GUIDE, _InverseCdf, _WRITE_ROWS
+from prepost.pointer import (
+    _CHUNK, _FLOAT_COLS, _GUIDE, _WRITE_ROWS, Density, _Buffers, _InverseCdf, _put_repr,
+)
 
 from conftest import random_state_pair
 
@@ -116,6 +122,19 @@ def test_entangle_branch_norms_are_born_probabilities(rng):
             proj = obs.projector_for(lam)
             born = float(np.real(np.vdot(pre.vec.amps, proj.mat.entries @ pre.vec.amps)))
             assert b.system_component.norm() ** 2 == pytest.approx(born, abs=1e-12)
+
+
+def test_entangle_holds_branches_to_the_state_norm_check():
+    # a state that passes its own norm check splits into branches that pass theirs
+    sc = three_box()
+    pre = State(CVec(sc.pre.vec.amps * (1 + 8e-11), sc.pre.vec.labels))
+    bs = entangle(sc.observables["C"], pre, PointerConfig(delta=1.0))
+    total = np.sqrt(sum(b.system_component.norm() ** 2 for b in bs.branches))
+    assert total == pytest.approx(1 + 8e-11, abs=1e-13)
+    branch = bs.branches[0]
+    scaled = CVec(branch.system_component.amps * 2.0, branch.system_component.labels)
+    with pytest.raises(ValueError, match="total norm"):
+        BranchState((Branch(branch.pointer_center, scaled),) + bs.branches[1:])
 
 
 def test_entangle_dimension_mismatch():
@@ -526,11 +545,14 @@ def test_csv_exports_are_deterministic(tmp_path):
 
 
 def test_csv_bytes_match_csv_writer(tmp_path):
-    xs, ps = np.array([-1.5, -0.0, 0.1, 1e-300]), np.array([0.0, -0.0, 1 / 3, 2.5e22])
-    density = SimpleNamespace(xs=xs, ps=ps)  # the writer reads only the table
-    # more rows than one write batch, so the index runs on across batches
-    samples = np.resize([-0.0, 1 / 3, -2.5e-17, 4.0, 1e22, -7.25], 2 * _WRITE_ROWS + 3)
-    ens = PointerEnsemble(samples, 0.0, 0.0, density, 1.0)
+    # each batch mixes formatted and fallback rows (zeros, subnormal, below
+    # 1e-4, at and above 2^53), and the index runs on across batch edges
+    mixed = [-0.0, 1 / 3, -2.5e-17, 4.0, 1e22, -7.25, 0.0, 5e-324, 9.99e-5, 1e-4,
+             2.0**53, -(2.0**53 - 1), 1e16, 123.456]
+    rows = 2 * _WRITE_ROWS + 3
+    xs = np.resize(mixed[::-1] + [-1.5, 0.1, 1e-300], rows)
+    density = SimpleNamespace(xs=xs, ps=np.resize(mixed, rows))  # the writer reads only the table
+    ens = PointerEnsemble(np.resize(mixed, rows), 0.0, 0.0, density, 1.0)
 
     def reference(path, header, rows):
         with open(path, "w", newline="") as handle:
@@ -548,3 +570,104 @@ def test_csv_bytes_match_csv_writer(tmp_path):
     assert (tmp_path / "density.csv").read_bytes() == dref
     assert (tmp_path / "samples.csv").read_bytes() == sref
     assert b"-0.0" in dref and b"-0.0" in sref
+
+
+@pytest.mark.parametrize("n", [1, 9, 10, 10001])
+def test_samples_csv_index_column(tmp_path, n):
+    ens = PointerEnsemble(np.ones(n), 1.0, 0.0, None, 1.0)
+    path = tmp_path / "samples.csv"
+    write_samples_csv(ens, str(path))
+    assert path.read_bytes() == b"index,x\r\n" + b"".join(b"%d,1.0\r\n" % i for i in range(n))
+
+
+def _repr_text(values):
+    """The formatter's text of each value, one per line."""
+    rows = np.zeros((len(values), _FLOAT_COLS + 1), np.uint8)
+    rows[:, -1] = ord("\n")
+    _put_repr(values, rows[:, :-1])
+    return rows[rows != 0].tobytes().decode().splitlines()
+
+
+def _fast(values):
+    mag = np.abs(values)
+    return (mag >= 1e-4) & (mag < 2.0**53)
+
+
+@pytest.fixture(scope="module")
+def formatter_cases():
+    """About 1.1e6 seeded doubles, by the case they probe."""
+    rng = np.random.default_rng(20181)
+    n = 400_000
+    # bit patterns over the fast path's exponent fields 1009..1075 ([2^-14, 2^53)), both signs
+    fields = rng.integers(1009, 1076, n, dtype=np.uint64) << np.uint64(52)
+    signs = rng.integers(0, 2, n, dtype=np.uint64) << np.uint64(63)
+    bits = fields | rng.integers(0, 2**52, n, dtype=np.uint64) | signs
+    powers = np.array([2.0**j for j in range(-20, 60)] + [float(f"1e{j}") for j in range(-6, 20)])
+    near = np.concatenate([powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf)])
+    # m = 2^52: the gap below is half the gap above
+    edges = (np.arange(1009, 1076, dtype=np.uint64) << np.uint64(52)).view(np.float64)
+    scaled = rng.normal(size=170_000) * 10.0 ** rng.integers(-5, 17, 170_000)
+    digits = np.array([float(f"{v:.{k}e}") for k, v in zip(np.arange(170_000) % 17, scaled)])
+    return {
+        "bit patterns": bits.view(np.float64),
+        "normal": rng.normal(-1.0, 10.0, 300_000),
+        "uniform": np.concatenate([rng.uniform(-1e3, 1e3, 150_000), rng.uniform(0.0, 1.0, 100_000)]),
+        "powers of 2 and 10 and their neighbours": np.concatenate([near, -near]),
+        "1 to 17 significant digits": digits,
+        "m = 2^52 and its neighbours": np.concatenate(
+            [edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)]),
+        # 2^50 + 1/4 lies halfway between ...624.2 and ...624.3: ties go to the even digit
+        "halfway between two 17-digit decimals": 2.0**50 + np.array([0.25, 0.75, 1.25, 1.75]),
+        "the fast path's edges and beyond": np.array([
+            0.0, -0.0, 5e-324, -2.2250738585072014e-308, 9.99e-5, -9.999999999999999e-05, 1e-4,
+            2.0**53 - 1, 2.0**53, -(2.0**53), 1e16, 1e22, 1.7976931348623157e308, np.inf, -np.inf, np.nan,
+        ]),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "bit patterns", "normal", "uniform", "powers of 2 and 10 and their neighbours",
+    "1 to 17 significant digits", "m = 2^52 and its neighbours",
+    "halfway between two 17-digit decimals", "the fast path's edges and beyond",
+])
+def test_formatter_matches_repr(monkeypatch, formatter_cases, case):
+    values = formatter_cases[case]
+    fallback = []
+    monkeypatch.setattr(pointer_module, "repr", lambda v: fallback.append(v) or repr(v), raising=False)
+    got = _repr_text(values)
+    want = [repr(v) for v in values.tolist()]
+    wrong = [(w, g) for w, g in zip(want, got) if w != g]
+    assert len(got) == len(want) and not wrong, wrong[:5]
+    assert len(fallback) == np.count_nonzero(~_fast(values))  # the rest took the fast path
+
+
+def _decade(x):
+    """j with 10^j <= x < 10^(j+1), exactly."""
+    j = len(str(int(x))) - 1 if x >= 1 else -1
+    while Fraction(10) ** j > Fraction(x):
+        j -= 1
+    return j
+
+
+def test_interval_is_exact():
+    # _interval against rational arithmetic: the reals that read back as x lie
+    # halfway to its neighbours, the ends included for an even significand
+    rng = np.random.default_rng(7)
+    powers = [2.0**e for e in range(-13, 53)]  # the gap below is half the gap above
+    odd = 2.0**52 + 2.0 * rng.integers(0, 2**51, 300) + 1.0  # ends on integers, open
+    patterns = (rng.integers(1010, 1076, 2000, dtype=np.uint64) << np.uint64(52)) | rng.integers(
+        0, 2**52, 2000, dtype=np.uint64)
+    mag = np.concatenate([powers, odd, odd - 1.0, patterns.view(np.float64)])
+    k = np.array([16 - _decade(x) for x in mag.tolist()])
+    v_int, v_rem, s, top, below = pointer_module._interval(mag, k)
+    for i, x in enumerate(mag.tolist()):
+        scale = Fraction(10) ** int(k[i])
+        value = Fraction(x) * scale
+        lo = (Fraction(x) + Fraction(math.nextafter(x, 0.0))) / 2 * scale
+        hi = (Fraction(x) + Fraction(math.nextafter(x, math.inf))) / 2 * scale
+        open_ends = (Fraction(x) / Fraction(math.ulp(x))).numerator % 2 == 1
+        want = (math.floor(hi) - (hi.denominator == 1 and open_ends),
+                math.ceil(lo) - 1 + (lo.denominator == 1 and open_ends))
+        assert 10**16 <= value < 10**17
+        assert (int(top[i]), int(below[i])) == want, x
+        assert int(v_int[i]) + Fraction(int(v_rem[i]), 2 ** int(s[i])) == value, x
