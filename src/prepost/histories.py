@@ -13,6 +13,7 @@ so consistency holds exactly when the weak value of e is 0 or 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -27,10 +28,8 @@ from .errors import (
     UndefinedWeight,
     UnknownEigenvalue,
 )
-from .linalg import (
-    AGREEMENT_TOL, CONSISTENCY_TOL, REAL_TOL, ZERO_TOL, ZERO_WEIGHT_TOL, CVec, inner,
-)
-from .quantum import Observable, Projector, State, weak_value
+from .linalg import CONSISTENCY_TOL, REAL_TOL, ZERO_TOL, inner
+from .quantum import Observable, Projector, State
 
 
 class FailureMode(Enum):
@@ -46,22 +45,6 @@ def _check_conformable(*projs: Projector):
     labels = {p.labels for p in projs}
     if len(labels) != 1:
         raise BasisMismatch(f"projectors have mixed basis labels {sorted(labels)}")
-
-
-@dataclass(frozen=True, eq=False)
-class History:
-    """Ordered projector events at three times: d, then e, then f."""
-
-    d: Projector
-    e: Projector
-    f: Projector
-
-    def __post_init__(self):
-        _check_conformable(self.d, self.e, self.f)
-
-    @property
-    def dim(self) -> int:
-        return self.d.dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,25 +69,6 @@ class Family:
     @cached_property
     def f(self) -> Projector:
         return Projector.onto(self.post)
-
-    @property
-    def base(self) -> History:
-        return History(self.d, self.e, self.f)
-
-    @property
-    def complement(self) -> History:
-        return History(self.d, self.e.complement(), self.f)
-
-    @classmethod
-    def build(cls, d: Projector, e: Projector, f: Projector) -> "Family":
-        """Family {d -> e -> f, d -> (1-e) -> f} from rank-1 endpoints."""
-        if d.rank != 1 or f.rank != 1:
-            raise ValueError(
-                f"family endpoints must be rank-1, got ranks {d.rank} and {f.rank}"
-            )
-        pre = State(CVec(d.q[:, 0], d.labels))
-        post = State(CVec(f.q[:, 0], f.labels))
-        return cls(pre, e, post)
 
 
 @dataclass(frozen=True)
@@ -178,7 +142,8 @@ def abl_probability(obs: Observable, pre: State, post: State, outcome: float) ->
         return abs(proj.amplitude(post.vec, pre.vec)) ** 2
 
     denom = sum(term(proj) for proj in obs.projectors)
-    if denom <= ZERO_WEIGHT_TOL:
+    # sqrt(denom) is the norm of the amplitudes <post|P_i|pre>, held to the amplitude scale.
+    if math.sqrt(denom) <= ZERO_TOL:
         raise UndefinedABL(
             "every intermediate outcome is incompatible with this pre/post pair"
         )
@@ -196,15 +161,11 @@ def abl_from_weak_values(wv: complex) -> float:
     return num / (num + abs(1.0 - wv) ** 2)
 
 
-def _transition(d: Projector, e: Projector, f: Projector) -> np.ndarray:
-    """Q_f^dagger E Q_d; its squared Frobenius norm is Tr[D E F E]."""
+def history_weight(d: Projector, e: Projector, f: Projector) -> float:
+    """Weight Tr[DEFE] of the history d -> e -> f, as the squared Frobenius
+    norm of Q_f^dagger E Q_d (real and non-negative)."""
     _check_conformable(d, e, f)
-    return (f.q.conj().T @ e.q) @ (e.q.conj().T @ d.q)
-
-
-def history_weight(h: History) -> float:
-    """Weight Tr[D E F E] of a single history, real as a squared norm."""
-    return float(np.linalg.norm(_transition(h.d, h.e, h.f)) ** 2)
+    return float(np.linalg.norm((f.q.conj().T @ e.q) @ (e.q.conj().T @ d.q)) ** 2)
 
 
 def conditional_weight(e: Projector, d: Projector, f: Projector) -> float:
@@ -214,21 +175,9 @@ def conditional_weight(e: Projector, d: Projector, f: Projector) -> float:
     modulus of the weak value of e.  Not clamped to [0, 1]; it is a
     probability only on consistent families.
     """
-    num = np.linalg.norm(_transition(d, e, f)) ** 2
+    num = history_weight(d, e, f)
     # sqrt Tr[DF] = ||Q_f^dagger Q_d||, which is |<f|d>| for rank-1 d and f.
     overlap = np.linalg.norm(f.q.conj().T @ d.q)
     if overlap <= ZERO_TOL:
         raise UndefinedWeight("Tr[DF] vanishes; conditional weight undefined")
     return float(num / overlap**2)
-
-
-def abl_weight_agreement(fam: Family) -> bool:
-    """Whether the ABL probability and conditional weight of e agree.
-
-    Guaranteed true on consistent families; the gap on inconsistent ones is
-    the operational difference between sharp and unsharp intermediate
-    measurements.
-    """
-    abl = abl_from_weak_values(weak_value(fam.e, fam.pre, fam.post).value)
-    weight = conditional_weight(fam.e, fam.d, fam.f)
-    return abs(abl - weight) <= AGREEMENT_TOL

@@ -1,7 +1,7 @@
 """Dense complex linear algebra over small labeled Hilbert spaces.
 
 Vectors and matrices carry the labels of the basis they are expressed in;
-every binary operation checks that its operands share one labeled basis,
+`inner` and `apply` check that their operands share one labeled basis,
 so amplitudes written in different bases can never be mixed silently.
 All values are immutable after construction and safe to share between
 concurrent workers.
@@ -10,7 +10,7 @@ concurrent workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union, overload
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -19,15 +19,14 @@ from .errors import BasisMismatch, DimensionError
 # The tolerance table: each absolute threshold of prepost, named for the decision it makes.
 #: Arrays within this max-abs gap are equal: `allclose`, Q^dagger Q = I, M = M^dagger.
 EQUAL_TOL = 1e-10
-#: A state's norm, and the total norm of its pointer branches, is 1 within this.
+#: A state's norm is 1 within this.
 NORM_TOL = 1e-10
 #: A state in a scenario file without `normalize` must have norm 1 within this.
 DECLARED_NORM_TOL = 1e-6
-#: A norm, overlap, amplitude or singular value at or below this is zero (orthogonality),
-#: and so is a weight denominator's sqrt Tr[DF] = ||Q_f^dagger Q_d||, |<f|d>| at rank 1.
+#: A norm, overlap, amplitude or singular value at or below this is zero (orthogonality):
+#: an empty pointer branch, an ABL denominator's sqrt sum |<f|P_i|d>|^2, and a weight
+#: denominator's sqrt Tr[DF] = ||Q_f^dagger Q_d||, |<f|d>| at rank 1.
 ZERO_TOL = 1e-12
-#: A squared norm at or below this is zero: an empty branch, an ABL denominator.
-ZERO_WEIGHT_TOL = 1e-12
 #: A post-selected pointer density whose rate is at or below this carries no weight.
 ZERO_RATE_TOL = 1e-24
 #: Eigenvalues this close are one: spectra merge them, Observable rejects them, outcomes match.
@@ -38,8 +37,6 @@ SHARP_TOL = 1e-10
 REAL_TOL = 1e-10
 #: A family is consistent when its interference functional is at most this in magnitude.
 CONSISTENCY_TOL = 1e-10
-#: An ABL probability and a conditional weight agree within this.
-AGREEMENT_TOL = 1e-10
 #: A value within this of an exact one is it: a fixture, a real sqrt argument, a 0/1 entry.
 EXACT_TOL = 1e-12
 
@@ -99,24 +96,8 @@ class CVec:
             np.allclose(self.amps, other.amps, rtol=0.0, atol=EQUAL_TOL)
         )
 
-    def __add__(self, other: "CVec") -> "CVec":
-        check_same_basis(self, other)
-        return CVec(self.amps + other.amps, self.labels)
-
-    def __sub__(self, other: "CVec") -> "CVec":
-        check_same_basis(self, other)
-        return CVec(self.amps - other.amps, self.labels)
-
-    def __mul__(self, scalar: complex) -> "CVec":
-        return CVec(self.amps * scalar, self.labels)
-
-    __rmul__ = __mul__
-
     def __truediv__(self, scalar: complex) -> "CVec":
         return CVec(self.amps / scalar, self.labels)
-
-    def __neg__(self) -> "CVec":
-        return CVec(-self.amps, self.labels)
 
     @classmethod
     def basis_vector(
@@ -169,33 +150,6 @@ class CMat:
         """Max-abs deviation of the matrix from its own adjoint."""
         return float(np.max(np.abs(self.entries - self.entries.conj().T)))
 
-    def __add__(self, other: "CMat") -> "CMat":
-        check_same_basis(self, other)
-        return CMat(self.entries + other.entries, self.labels)
-
-    def __sub__(self, other: "CMat") -> "CMat":
-        check_same_basis(self, other)
-        return CMat(self.entries - other.entries, self.labels)
-
-    def __mul__(self, scalar: complex) -> "CMat":
-        return CMat(self.entries * scalar, self.labels)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "CMat":
-        return CMat(-self.entries, self.labels)
-
-    @classmethod
-    def identity(cls, labels: Sequence[str]) -> "CMat":
-        labels = tuple(labels)
-        return cls(np.eye(len(labels), dtype=complex), labels)
-
-    @classmethod
-    def zeros(cls, labels: Sequence[str]) -> "CMat":
-        labels = tuple(labels)
-        n = len(labels)
-        return cls(np.zeros((n, n), dtype=complex), labels)
-
 
 def inner(u: CVec, v: CVec) -> complex:
     """Hermitian inner product, conjugating the first argument."""
@@ -203,28 +157,9 @@ def inner(u: CVec, v: CVec) -> complex:
     return complex(np.vdot(u.amps, v.amps))
 
 
-def outer(u: CVec, v: CVec) -> CMat:
-    """Rank-one matrix with entries u_i * conj(v_j)."""
-    check_same_basis(u, v)
-    return CMat(np.outer(u.amps, v.amps.conj()), u.labels)
-
-
-def matmul(a: CMat, b: CMat) -> CMat:
-    check_same_basis(a, b)
-    return CMat(a.entries @ b.entries, a.labels)
-
-
 def apply(a: CMat, v: CVec) -> CVec:
     check_same_basis(a, v)
     return CVec(a.entries @ v.amps, v.labels)
-
-
-def adjoint(a: CMat) -> CMat:
-    return CMat(a.entries.conj().T, a.labels)
-
-
-def trace(a: CMat) -> complex:
-    return complex(np.trace(a.entries))
 
 
 def tensor_labels(a: Sequence[str], b: Sequence[str]) -> tuple[str, ...]:
@@ -232,17 +167,6 @@ def tensor_labels(a: Sequence[str], b: Sequence[str]) -> tuple[str, ...]:
     return tuple(f"{la}{LABEL_JOIN}{lb}" for la in a for lb in b)
 
 
-@overload
-def tensor(a: CVec, b: CVec) -> CVec: ...
-@overload
-def tensor(a: CMat, b: CMat) -> CMat: ...
-
-
-def tensor(a: Union[CVec, CMat], b: Union[CVec, CMat]) -> Union[CVec, CMat]:
-    """Kronecker product of two vectors or two matrices."""
-    labels = tensor_labels(a.labels, b.labels)
-    if isinstance(a, CVec) and isinstance(b, CVec):
-        return CVec(np.kron(a.amps, b.amps), labels)
-    if isinstance(a, CMat) and isinstance(b, CMat):
-        return CMat(np.kron(a.entries, b.entries), labels)
-    raise TypeError("tensor expects two CVec or two CMat operands")
+def tensor(a: CVec, b: CVec) -> CVec:
+    """Kronecker product of two vectors, over the row-major product basis."""
+    return CVec(np.kron(a.amps, b.amps), tensor_labels(a.labels, b.labels))

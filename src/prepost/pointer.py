@@ -25,9 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import BasisMismatch, PointerRangeError, PostSelectionImpossible
-from .linalg import (
-    NORM_TOL, ZERO_RATE_TOL, ZERO_TOL, ZERO_WEIGHT_TOL, CVec, check_same_basis,
-)
+from .linalg import ZERO_RATE_TOL, ZERO_TOL, check_same_basis
 from .quantum import Observable, State
 
 #: Nodes of a density table, and the half-width in deltas of its window around each centre.
@@ -80,25 +78,13 @@ class PointerConfig:
             raise ValueError(f"coupling must be non-zero and finite, got {self.coupling}")
 
 
-@dataclass(frozen=True)
-class Branch:
-    """One eigenvalue branch: shifted pointer center, unnormalized system part."""
+class Branches(NamedTuple):
+    """Entangled system-apparatus state: row i of `components` (k x n) is the
+    system part P_i|pre> of the branch whose pointer sits at centers[i]."""
 
-    pointer_center: float
-    system_component: CVec
-
-
-@dataclass(frozen=True)
-class BranchState:
-    """Entangled system-apparatus state, one branch per surviving eigenvalue."""
-
-    branches: tuple[Branch, ...]
-
-    def __post_init__(self):
-        # The branches split one state, so their total norm is held to the state's own check.
-        norm = math.sqrt(sum(b.system_component.norm() ** 2 for b in self.branches))
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"branches have total norm {norm:.12g}, expected 1")
+    centers: np.ndarray
+    components: np.ndarray
+    labels: tuple[str, ...]
 
 
 def gaussian_amplitude(x, center: float, delta: float):
@@ -107,23 +93,25 @@ def gaussian_amplitude(x, center: float, delta: float):
     return np.exp(-(z * z) / 4.0) / math.sqrt(math.sqrt(2.0 * math.pi) * delta)
 
 
-def entangle(obs: Observable, pre: State, cfg: PointerConfig) -> BranchState:
+def entangle(obs: Observable, pre: State, cfg: PointerConfig) -> Branches:
     """Couple the pointer to obs: branch lambda carries P_lambda|pre> at
 
-    center x0 + coupling * lambda.  Branches with no amplitude are dropped,
-    so an eigenstate input yields a single branch of norm 1.
+    center x0 + coupling * lambda.  Branches of norm at most ZERO_TOL are
+    dropped, so an eigenstate input yields a single branch of norm 1.
     """
     check_same_basis(obs.mat, pre.vec)
-    branches = []
+    centers, components = [], []
     for lam, proj in zip(obs.eigenvalues, obs.projectors):
-        component = proj.apply(pre.vec)
-        if component.norm() ** 2 > ZERO_WEIGHT_TOL:
-            branches.append(Branch(cfg.x0 + cfg.coupling * lam, component))
-    return BranchState(tuple(branches))
+        component = proj.apply(pre.vec).amps
+        if np.linalg.norm(component) > ZERO_TOL:
+            centers.append(cfg.x0 + cfg.coupling * lam)
+            components.append(component)
+    return Branches(np.array(centers, dtype=float),
+                    np.array(components).reshape(-1, pre.dim), pre.labels)
 
 
 def postselect(
-    bs: BranchState, post: State, cfg: PointerConfig
+    bs: Branches, post: State, cfg: PointerConfig
 ) -> tuple[list[tuple[float, complex]], float]:
     """Project the system on |post>; returns per-branch apparatus amplitudes
 
@@ -135,23 +123,20 @@ def postselect(
     return amps, Density(amps, cfg.delta).rate
 
 
-def _branch_amplitudes(bs: BranchState, post: State) -> list[tuple[float, complex]]:
+def _branch_amplitudes(bs: Branches, post: State) -> list[tuple[float, complex]]:
     """[(center, <post|component>)] for each branch of bs."""
-    amps = []
-    for b in bs.branches:
-        if post.labels != b.system_component.labels:
-            raise BasisMismatch(
-                f"post-selection basis {post.labels} does not match "
-                f"branch basis {b.system_component.labels}"
-            )
-        amps.append(
-            (b.pointer_center, complex(np.vdot(post.vec.amps, b.system_component.amps)))
+    if post.labels != bs.labels:
+        raise BasisMismatch(
+            f"post-selection basis {post.labels} does not match branch basis {bs.labels}"
         )
-    if not amps or max(abs(a) for _, a in amps) <= ZERO_TOL:
+    # np.vdot row by row, not components @ conj(post): a BLAS matrix-vector
+    # product rounds differently, and the sampled pointer readings would change.
+    amps = np.array([np.vdot(post.vec.amps, row) for row in bs.components], dtype=complex)
+    if not amps.size or np.abs(amps).max() <= ZERO_TOL:
         raise PostSelectionImpossible(
             "post-selection state is orthogonal to every branch"
         )
-    return amps
+    return list(zip(bs.centers.tolist(), amps.tolist()))
 
 
 class Density:

@@ -158,6 +158,38 @@ def test_simulate_sharp_and_far_branch_means(capsys, delta, coupling):
     assert abs(float(kv(out)["mean"]) - 0.2 * coupling) <= 6 * stderr
 
 
+def test_simulate_keeps_branches_at_a_tiny_overlap(capsys, tmp_path):
+    # |<phi|psi>| = 2e-7: each branch has norm 1e-7 and amplitude 1e-7, above ZERO_TOL,
+    # so both stay and the pointer splits its weight evenly between 0 and 1
+    path = tmp_path / "tiny.scn"
+    path.write_text(
+        "basis a b\n"
+        "state psi = 1 a + 0.0000001 b\n"
+        "state phi = 0.0000001 a + 1 b\n"
+        "pre psi\n"
+        "post phi\n"
+        "proj Pb = |b><b|\n"
+        "proj Pa = |a><a|\n"
+        "obs B = 1*Pb + 0*Pa\n"
+    )
+    n, delta = 100_000, 0.01
+    code, out, err = run_cli(
+        capsys, "simulate", str(path), "--obs", "B", "--delta", repr(delta), "--n", str(n),
+        "--seed", "1",
+    )
+    assert (code, err) == (0, "")
+    sc = scenfile.to_scenario(scenfile.parse(path.read_text()))
+    obs = sc.observables["B"]
+    amps = [(lam, p.amplitude(sc.post.vec, sc.pre.vec))
+            for lam, p in zip(obs.eigenvalues, obs.projectors)]
+    density = pointer_density(amps, PointerConfig(delta=delta))
+    d = kv(out)
+    assert float(d["rate"]) == pytest.approx(density.rate, rel=1e-11, abs=0.0)
+    assert density.rate == pytest.approx(2e-14, rel=1e-6, abs=0.0)
+    stderr = (density.variance() / n) ** 0.5
+    assert abs(float(d["mean"]) - density.mean()) <= 6 * stderr
+
+
 @pytest.mark.parametrize("delta", ["1e-300", "1e-100", "1e-14", "1e154", "1e200"])
 def test_extreme_delta_gives_a_checked_mean_or_one_error(capsys, delta):
     n = 1000

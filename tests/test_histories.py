@@ -5,7 +5,6 @@ from prepost import (
     CVec,
     FailureMode,
     Family,
-    History,
     Projector,
     State,
     UndefinedABL,
@@ -13,7 +12,6 @@ from prepost import (
     UnknownEigenvalue,
     abl_from_weak_values,
     abl_probability,
-    abl_weight_agreement,
     as_observable,
     conditional_weight,
     consistency,
@@ -43,19 +41,12 @@ def test_history_requires_matching_dimensions():
     d2 = Projector.identity(("a", "b"))
     d3 = Projector.identity(("x", "y", "z"))
     with pytest.raises(DimensionError):
-        History(d2, d3, d2)
-
-
-def test_family_requires_rank_one_endpoints():
-    ident = Projector.identity(("a", "b", "c"))
-    e = Projector.on_labels(("a", "b", "c"), ("a",))
-    with pytest.raises(ValueError):
-        Family.build(ident, e, ident)
+        history_weight(d2, d3, d2)
 
 
 def test_family_complement_partitions_identity():
     sc, fam = _three_box_family()
-    total = fam.base.e.mat.entries + fam.complement.e.mat.entries
+    total = fam.e.mat.entries + fam.e.complement().mat.entries
     assert np.allclose(total, np.eye(3))
     assert fam.d.rank == 1 and fam.f.rank == 1
 
@@ -104,10 +95,10 @@ def test_repeated_endpoint_gives_unsharp_failure(rng):
 
 def test_orthogonal_endpoints_leave_factors_undefined():
     labels = ("a", "b")
-    d = Projector.onto(CVec.basis_vector("a", labels))
-    f = Projector.onto(CVec.basis_vector("b", labels))
+    pre = State(CVec.basis_vector("a", labels))
+    post = State(CVec.basis_vector("b", labels))
     e = Projector.onto(CVec(np.array([1.0, 1.0]), labels))
-    report = consistency(Family.build(d, e, f))
+    report = consistency(Family(pre, e, post))
     assert report.factor_wv is None
     assert report.factor_wv_conj is None
     assert report.factor_overlap_sq == pytest.approx(0.0)
@@ -144,7 +135,6 @@ def test_projectors_stay_columns_until_mat_is_read(rng):
     abl_probability(obs, pre, post, obs.eigenvalues[0])
     consistency(fam)
     conditional_weight(fam.e, fam.d, fam.f)
-    abl_weight_agreement(fam)
     for p in (*obs.projectors, fam.d, fam.f):
         assert "mat" not in vars(p)
 
@@ -215,24 +205,24 @@ def test_abl_routes_agree_for_projector_outcomes(rng):
 
 def test_history_weight_identity_is_dimension():
     ident = Projector.identity(("a", "b", "c"))
-    assert history_weight(History(ident, ident, ident)) == pytest.approx(3.0)
+    assert history_weight(ident, ident, ident) == pytest.approx(3.0)
 
 
 def test_history_weight_three_box_transition():
     sc = three_box()
-    h = History(
+    w = history_weight(
         Projector.onto(sc.pre),
         sc.observables["C"].projector_for(1.0),
         Projector.onto(sc.post),
     )
-    assert history_weight(h) == pytest.approx(1.0 / 9.0, abs=1e-12)
+    assert w == pytest.approx(1.0 / 9.0, abs=1e-12)
 
 
 def test_history_weight_vanishes_for_blocked_event(rng):
     pre = random_state(rng, 4)
     e = projector_orthogonal_to(rng, pre.vec)
     f = Projector.onto(random_state(rng, 4))
-    w = history_weight(History(Projector.onto(pre), e, f))
+    w = history_weight(Projector.onto(pre), e, f)
     assert w == pytest.approx(0.0, abs=1e-12)
 
 
@@ -262,8 +252,9 @@ def test_conditional_weight_requires_overlapping_endpoints():
 
 
 def test_weight_and_weak_value_share_one_zero_test():
-    # |<f|d>| = 1e-8 is far above ZERO_TOL although |<f|d>|^2 = 1e-16 is below
-    # ZERO_WEIGHT_TOL: the weight is defined wherever the weak value is.
+    # |<f|d>| = 1e-8 is far above ZERO_TOL although |<f|d>|^2 = 1e-16 is below it:
+    # every zero test is on the amplitude scale, so the weight and the ABL
+    # probability are defined wherever the weak value is.
     labels = ("a", "b")
     pre = State(CVec.basis_vector("a", labels))
     post = State(CVec(np.array([1e-8, np.sqrt(1.0 - 1e-16)]), labels))
@@ -273,6 +264,9 @@ def test_weight_and_weak_value_share_one_zero_test():
     weight = conditional_weight(e, Projector.onto(pre), Projector.onto(post))
     assert weight == pytest.approx(abs(wv) ** 2, abs=1e-12)
     assert weight == pytest.approx(1.0, abs=1e-12)
+    abl = abl_probability(as_observable(e), pre, post, 1.0)
+    assert abl == pytest.approx(abl_from_weak_values(wv), abs=1e-12)
+    assert abl == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(UndefinedWeight):  # an exactly orthogonal pair still has none
         conditional_weight(e, Projector.onto(pre), Projector.onto(CVec.basis_vector("b", labels)))
 
@@ -294,12 +288,24 @@ def test_conditional_weight_is_squared_weak_value(rng):
         assert w == pytest.approx(abs(wv) ** 2, abs=1e-10)
 
 
+def _abl_and_weight(fam):
+    abl = abl_from_weak_values(weak_value(fam.e, fam.pre, fam.post).value)
+    return abl, conditional_weight(fam.e, fam.d, fam.f)
+
+
 def test_abl_weight_agreement_on_consistent_family(rng):
-    pre, post = random_state_pair(rng, 4)
-    fam = Family(pre, projector_containing(rng, pre.vec), post)
-    assert abl_weight_agreement(fam)
+    # e containing the pre-selection (weak value 1) or orthogonal to it (0)
+    for make, value in ((projector_containing, 1.0), (projector_orthogonal_to, 0.0)):
+        pre, post = random_state_pair(rng, 4)
+        fam = Family(pre, make(rng, pre.vec), post)
+        assert consistency(fam).consistent
+        abl, weight = _abl_and_weight(fam)
+        assert abl == pytest.approx(weight, abs=1e-10)
+        assert abl == pytest.approx(value, abs=1e-10)
 
 
 def test_abl_weight_disagreement_on_box_c():
     sc, fam = _three_box_family()
-    assert not abl_weight_agreement(fam)
+    abl, weight = _abl_and_weight(fam)
+    assert abl == pytest.approx(0.2, abs=1e-12)
+    assert weight == pytest.approx(1.0, abs=1e-12)

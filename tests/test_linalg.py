@@ -7,18 +7,7 @@ import pytest
 
 import prepost
 from prepost import BasisMismatch, CMat, CVec, DimensionError
-from prepost.linalg import (
-    adjoint,
-    apply,
-    index_labels,
-    inner,
-    label_index,
-    matmul,
-    outer,
-    tensor,
-    tensor_labels,
-    trace,
-)
+from prepost.linalg import apply, index_labels, inner, label_index, tensor, tensor_labels
 
 from conftest import random_hermitian, random_vector
 
@@ -46,14 +35,10 @@ def test_amps_are_immutable():
 
 
 def test_vector_arithmetic_keeps_labels():
+    # division by a scalar (State.normalized) is the one arithmetic operator
     u = CVec(np.array([1.0, 2.0]), ("x", "y"))
-    v = CVec(np.array([3.0, -1.0]), ("x", "y"))
-    assert (u + v).amps.tolist() == [4.0, 1.0]
-    assert (u - v).labels == ("x", "y")
-    assert (2.0 * u).amps.tolist() == [2.0, 4.0]
-    assert (u * 1j).amps.tolist() == [1j, 2j]
     assert (u / 2).amps.tolist() == [0.5, 1.0]
-    assert (-u).amps.tolist() == [-1.0, -2.0]
+    assert (u / 2).labels == ("x", "y")
 
 
 def test_mismatched_bases_are_rejected():
@@ -61,11 +46,11 @@ def test_mismatched_bases_are_rejected():
     w = CVec(np.array([1.0, 2.0]), ("x", "z"))
     short = CVec(np.array([1.0]))
     with pytest.raises(BasisMismatch):
-        u + w
-    with pytest.raises(DimensionError):
-        u + short
-    with pytest.raises(BasisMismatch):
         inner(u, w)
+    with pytest.raises(DimensionError):
+        inner(u, short)
+    with pytest.raises(BasisMismatch):
+        apply(CMat(np.eye(2), ("x", "z")), u)
 
 
 def test_norm_and_allclose():
@@ -80,26 +65,21 @@ def test_inner_conjugates_first_argument(rng):
     v = random_vector(rng, 4)
     direct = np.vdot(u.amps, v.amps)
     assert inner(u, v) == pytest.approx(direct)
-    assert inner(u * 1j, v) == pytest.approx(-1j * direct)
-    assert inner(u, v * 1j) == pytest.approx(1j * direct)
+    assert inner(CVec(u.amps * 1j), v) == pytest.approx(-1j * direct)
+    assert inner(u, CVec(v.amps * 1j)) == pytest.approx(1j * direct)
 
 
-def test_outer_apply_matmul_adjoint_trace(rng):
+def test_apply_is_the_matrix_vector_product(rng):
     u = random_vector(rng, 3)
-    v = random_vector(rng, 3)
     m = random_hermitian(rng, 3)
-    ow = outer(u, v)
-    assert np.allclose(ow.entries, np.outer(u.amps, v.amps.conj()))
-    assert np.allclose(apply(m, u).amps, m.entries @ u.amps)
-    assert np.allclose(matmul(m, ow).entries, m.entries @ ow.entries)
-    assert np.allclose(adjoint(ow).entries, ow.entries.conj().T)
-    assert trace(m) == pytest.approx(np.trace(m.entries))
+    mu = apply(m, u)
+    assert np.allclose(mu.amps, m.entries @ u.amps)
+    assert mu.labels == u.labels
 
 
 def test_matrix_constructors_and_hermiticity():
-    ident = CMat.identity(("a", "b"))
-    assert np.allclose(ident.entries, np.eye(2))
-    assert CMat.zeros(("a", "b")).entries.tolist() == [[0, 0], [0, 0]]
+    ident = CMat(np.eye(2), ("a", "b"))
+    assert ident.labels == ("a", "b") and CMat(np.eye(2)).labels == ("0", "1")
     assert ident.hermiticity_defect() == 0.0
     skew = CMat(np.array([[0.0, 1.0], [-1.0, 0.0]]))
     assert skew.hermiticity_defect() == pytest.approx(2.0)
@@ -124,11 +104,6 @@ def test_tensor_matches_kron(rng):
     tv = tensor(u, v)
     assert np.allclose(tv.amps, np.kron(u.amps, v.amps))
     assert tv.labels == tensor_labels(u.labels, v.labels)
-    m = random_hermitian(rng, 2)
-    n = random_hermitian(rng, 3)
-    tm = tensor(m, n)
-    assert np.allclose(tm.entries, np.kron(m.entries, n.entries))
-    assert tm.labels == tensor_labels(m.labels, n.labels)
 
 
 def test_thresholds_are_written_only_in_the_tolerance_table():

@@ -12,8 +12,7 @@ import pytest
 from scipy.integrate import quad
 
 from prepost import (
-    Branch,
-    BranchState,
+    BasisMismatch,
     CVec,
     DimensionError,
     PointerConfig,
@@ -92,11 +91,12 @@ def test_entangle_three_box_branches():
     sc = three_box()
     cfg = PointerConfig(delta=1.0)
     bs = entangle(sc.observables["C"], sc.pre, cfg)
-    by_center = {b.pointer_center: b.system_component for b in bs.branches}
+    assert bs.labels == sc.basis_labels and bs.components.shape == (2, 3)
+    by_center = dict(zip(bs.centers.tolist(), bs.components))
     assert set(by_center) == {0.0, 1.0}
     s = 1.0 / np.sqrt(3.0)
-    assert np.allclose(by_center[0.0].amps, [s, s, 0.0])
-    assert np.allclose(by_center[1.0].amps, [0.0, 0.0, s])
+    assert np.allclose(by_center[0.0], [s, s, 0.0])
+    assert np.allclose(by_center[1.0], [0.0, 0.0, s])
 
 
 def test_entangle_eigenstate_gives_single_branch():
@@ -104,10 +104,9 @@ def test_entangle_eigenstate_gives_single_branch():
     cfg = PointerConfig(delta=1.0, coupling=2.0, x0=0.5)
     pre = State(CVec.basis_vector("c", sc.basis_labels))
     bs = entangle(sc.observables["C"], pre, cfg)
-    assert len(bs.branches) == 1
-    branch = bs.branches[0]
-    assert branch.pointer_center == pytest.approx(0.5 + 2.0)
-    assert branch.system_component.norm() == pytest.approx(1.0)
+    assert bs.components.shape == (1, 3)
+    assert bs.centers[0] == pytest.approx(0.5 + 2.0)
+    assert np.linalg.norm(bs.components[0]) == pytest.approx(1.0)
 
 
 def test_entangle_branch_norms_are_born_probabilities(rng):
@@ -117,24 +116,19 @@ def test_entangle_branch_norms_are_born_probabilities(rng):
         obs = three_box().observables["A"]
         pre = State(CVec(pre.vec.amps, obs.labels))
         bs = entangle(obs, pre, cfg)
-        for b in bs.branches:
-            lam = b.pointer_center  # coupling 1, x0 0
+        for lam, component in zip(bs.centers, bs.components):  # coupling 1, x0 0
             proj = obs.projector_for(lam)
             born = float(np.real(np.vdot(pre.vec.amps, proj.mat.entries @ pre.vec.amps)))
-            assert b.system_component.norm() ** 2 == pytest.approx(born, abs=1e-12)
+            assert np.linalg.norm(component) ** 2 == pytest.approx(born, abs=1e-12)
 
 
 def test_entangle_holds_branches_to_the_state_norm_check():
-    # a state that passes its own norm check splits into branches that pass theirs
+    # the branches split the state: their total norm is the state's own, which
+    # State holds to NORM_TOL, so the branches need no norm check of their own
     sc = three_box()
     pre = State(CVec(sc.pre.vec.amps * (1 + 8e-11), sc.pre.vec.labels))
     bs = entangle(sc.observables["C"], pre, PointerConfig(delta=1.0))
-    total = np.sqrt(sum(b.system_component.norm() ** 2 for b in bs.branches))
-    assert total == pytest.approx(1 + 8e-11, abs=1e-13)
-    branch = bs.branches[0]
-    scaled = CVec(branch.system_component.amps * 2.0, branch.system_component.labels)
-    with pytest.raises(ValueError, match="total norm"):
-        BranchState((Branch(branch.pointer_center, scaled),) + bs.branches[1:])
+    assert np.linalg.norm(bs.components) == pytest.approx(1 + 8e-11, abs=1e-13)
 
 
 def test_entangle_dimension_mismatch():
@@ -158,7 +152,7 @@ def test_postselect_completeness_over_a_basis():
     cfg = PointerConfig(delta=1.0)
     bs = entangle(sc.observables["C"], sc.pre, cfg)
     posts = [sc.post, sc.states["phi_prime"], sc.states["phi_double_prime"]]
-    totals = {b.pointer_center: 0.0 for b in bs.branches}
+    totals = dict.fromkeys(bs.centers.tolist(), 0.0)
     for post in posts:
         try:
             amps, _ = postselect(bs, post, cfg)
@@ -166,10 +160,8 @@ def test_postselect_completeness_over_a_basis():
             continue  # orthogonal to every branch: contributes nothing
         for center, amp in amps:
             totals[center] += abs(amp) ** 2
-    for b in bs.branches:
-        assert totals[b.pointer_center] == pytest.approx(
-            b.system_component.norm() ** 2, abs=1e-12
-        )
+    for center, component in zip(bs.centers.tolist(), bs.components):
+        assert totals[center] == pytest.approx(np.linalg.norm(component) ** 2, abs=1e-12)
 
 
 def test_simulate_builds_one_density(monkeypatch):
@@ -192,6 +184,15 @@ def test_postselect_impossible_when_orthogonal_to_all_branches():
     bs = entangle(sc.observables["C"], sc.pre, cfg)
     with pytest.raises(PostSelectionImpossible):
         postselect(bs, sc.states["phi_prime"], cfg)
+
+
+def test_postselect_rejects_a_post_state_in_another_basis():
+    sc = three_box()
+    cfg = PointerConfig(delta=1.0)
+    bs = entangle(sc.observables["C"], sc.pre, cfg)
+    post = State(CVec(sc.post.vec.amps, ("x", "y", "z")))
+    with pytest.raises(BasisMismatch):
+        postselect(bs, post, cfg)
 
 
 def test_single_branch_density_is_gaussian():

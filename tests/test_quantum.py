@@ -48,7 +48,7 @@ def test_projector_onto_and_complement():
 
 def test_projector_span_handles_dependent_vectors(rng):
     v = random_vector(rng, 4)
-    p = Projector.span([v, 2.0 * v])
+    p = Projector.span([v, CVec(2.0 * v.amps, v.labels)])
     assert p.rank == 1
     w = random_vector(rng, 4)
     p2 = Projector.span([v, w])
@@ -56,7 +56,7 @@ def test_projector_span_handles_dependent_vectors(rng):
     assert np.allclose(p2.mat.entries @ v.amps, v.amps)
     # a dependent vector ahead of an independent one keeps both directions
     e0, e1 = CVec(np.array([1.0, 0.0, 0.0])), CVec(np.array([0.0, 1.0, 0.0]))
-    p3 = Projector.span([e0, 2.0 * e0, e1])
+    p3 = Projector.span([e0, CVec(2.0 * e0.amps), e1])
     assert p3.rank == 2
     assert np.allclose(p3.mat.entries, np.diag([1.0, 1.0, 0.0]))
 
@@ -205,7 +205,7 @@ def test_weak_value_sum_matches_linearity(rng):
     pre, post = random_state_pair(rng, 3)
     a = spectral_decompose(random_hermitian(rng, 3))
     b = spectral_decompose(random_hermitian(rng, 3))
-    summed = weak_value(spectral_decompose(a.mat + b.mat), pre, post).value
+    summed = weak_value(spectral_decompose(CMat(a.mat.entries + b.mat.entries)), pre, post).value
     parts = weak_value(a, pre, post).value + weak_value(b, pre, post).value
     assert summed == pytest.approx(parts, abs=1e-12)
 
