@@ -6,6 +6,8 @@ conditional weights, and exact or Monte Carlo Gaussian-pointer
 measurement statistics, plus a text scenario format and CLI.
 """
 
+import importlib
+
 from .errors import (
     BasisMismatch,
     DimensionError,
@@ -43,23 +45,25 @@ from .histories import (
     consistency,
     history_weight,
 )
-from .pointer import (
-    Branches,
-    Density,
-    PointerConfig,
-    PointerEnsemble,
-    entangle,
-    gaussian_amplitude,
-    pointer_density,
-    postselect,
-    sample,
-    simulate,
-    weak_value_estimate,
-    write_density_csv,
-    write_samples_csv,
-)
 from .scenarios import CheckResult, Expectation, Scenario, builtin, hardy, three_box
-from .scenfile import ScenarioDoc, doc_from_scenario, parse, serialize, to_scenario
+
+#: The module of each name that only `simulate` or a scenario file needs.  It is
+#: imported on the name's first access (PEP 562), so builtin queries never load it.
+_LAZY = dict.fromkeys(
+    ("Branches", "Density", "PointerConfig", "PointerEnsemble", "entangle", "gaussian_amplitude",
+     "pointer_density", "postselect", "sample", "simulate", "weak_value_estimate",
+     "write_density_csv", "write_samples_csv"),
+    "pointer",
+) | dict.fromkeys(
+    ("ScenarioDoc", "doc_from_scenario", "parse", "serialize", "to_scenario"), "scenfile"
+)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+
 
 __version__ = "0.1.0"
 

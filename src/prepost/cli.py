@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-from . import scenarios, scenfile
+from . import scenarios
 from .errors import (
     NormalizationError,
     ParseError,
@@ -31,13 +31,6 @@ from .errors import (
     UnknownEigenvalue,
 )
 from .histories import abl_probability, conditional_weight
-from .pointer import (
-    PointerConfig,
-    simulate,
-    weak_value_estimate,
-    write_density_csv,
-    write_samples_csv,
-)
 from .quantum import weak_value
 from .scenarios import Scenario
 
@@ -110,8 +103,18 @@ def load_scenario(source: str) -> Scenario:
     path = Path(source)
     if not path.is_file():
         raise UsageError(f"no such scenario file: {source}")
-    doc = scenfile.parse(path.read_text(encoding="utf-8"))
-    return scenfile.to_scenario(doc, name=path.stem)
+    from . import scenfile  # only file sources parse, so builtins never load it
+
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # line and column as the parser counts them: str.splitlines lines, characters
+        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(
+            f"not UTF-8: {exc.reason} 0x{data[exc.start]:02x}", len(lines), len(lines[-1])
+        ) from None
+    return scenfile.to_scenario(scenfile.parse(text), name=path.stem)
 
 
 def _pick_observable(sc: Scenario, name: str):
@@ -187,6 +190,8 @@ def _cmd_weight(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    from . import pointer  # only simulate samples, so only simulate loads it
+
     sc = load_scenario(args.source)
     obs = _pick_observable(sc, args.obs)
     if args.n < 1:
@@ -194,17 +199,17 @@ def _cmd_simulate(args) -> int:
     if not 0 <= args.seed < 2**128:
         raise UsageError(f"--seed must be in [0, 2**128), got {args.seed}")
     try:
-        cfg = PointerConfig(delta=args.delta, x0=args.x0, coupling=args.coupling)
+        cfg = pointer.PointerConfig(delta=args.delta, x0=args.x0, coupling=args.coupling)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    ens = simulate(
+    ens = pointer.simulate(
         obs, sc.pre, sc.post, cfg, args.n, args.seed,
         keep_samples=args.samples_out is not None,
     )
     if args.density_out:
-        write_density_csv(ens.density, args.density_out)
+        pointer.write_density_csv(ens.density, args.density_out)
     if args.samples_out:
-        write_samples_csv(ens, args.samples_out)
+        pointer.write_samples_csv(ens, args.samples_out)
     _emit(
         {
             "command": "simulate",
@@ -216,7 +221,7 @@ def _cmd_simulate(args) -> int:
             "mean": ens.mean,
             "variance": ens.variance,
             "rate": ens.postselect_rate,
-            "estimate": weak_value_estimate(ens, cfg),
+            "estimate": pointer.weak_value_estimate(ens, cfg),
         }
     )
     return 0

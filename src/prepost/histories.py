@@ -8,16 +8,17 @@ vanishes.  For pure endpoints it is <f|E|d><d|(1-E)|f>, which factors as
 
     |<f|d>|^2 * wv(e) * conj(wv(1-e))
 
-so consistency holds exactly when the weak value of e is 0 or 1.
+so consistency holds exactly when the weak value of e is 0 or 1.  The
+functional scales with the overlap, so the verdict is taken on a scale-free
+measure of it instead (see `consistency`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -47,7 +48,6 @@ def _check_conformable(*projs: Projector):
         raise BasisMismatch(f"projectors have mixed basis labels {sorted(labels)}")
 
 
-@dataclass(frozen=True, eq=False)
 class Family:
     """Pure pre-selection, middle event e, pure post-selection.
 
@@ -55,12 +55,9 @@ class Family:
     endpoints and partition the middle time.
     """
 
-    pre: State
-    e: Projector
-    post: State
-
-    def __post_init__(self):
-        _check_conformable(self.d, self.e, self.f)
+    def __init__(self, pre: State, e: Projector, post: State):
+        self.pre, self.e, self.post = pre, e, post
+        _check_conformable(self.d, e, self.f)
 
     @cached_property
     def d(self) -> Projector:
@@ -71,8 +68,7 @@ class Family:
         return Projector.onto(self.post)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     """Interference functional of a family with its factored form.
 
     `functional` is Tr[F E D E'].  For non-orthogonal endpoints it factors
@@ -89,11 +85,9 @@ class ConsistencyReport:
     factor_wv_conj: Optional[complex]
 
 
-def _classify_functional(functional: complex, consistent: bool) -> FailureMode:
-    if consistent:
-        return FailureMode.NONE
-    real_enough = abs(functional.imag) <= REAL_TOL
-    if real_enough and 0.0 < functional.real < 1.0:
+def _failure_mode(value: complex) -> FailureMode:
+    """Unsharp when value is real and inside (0, 1), strange otherwise."""
+    if abs(value.imag) <= REAL_TOL and 0.0 < value.real < 1.0:
         return FailureMode.UNSHARP
     return FailureMode.STRANGE
 
@@ -101,24 +95,35 @@ def _classify_functional(functional: complex, consistent: bool) -> FailureMode:
 def consistency(fam: Family) -> ConsistencyReport:
     """Evaluate Tr[F E D E'] = <f|E|d><d|(1-E)|f> and classify the family.
 
-    With a = <f|E|d> and s = <f|d> the functional is a * conj(s - a), and
-    for s != 0 the weak values of e and 1-e are a/s and (s - a)/s.
+    With a = <f|E|d>, s = <f|d> and b = s - a the functional is a * conj(b),
+    and for s != 0 the weak values of e and 1-e are a/s and b/s.  The verdict
+    compares r = 2|a||b| / (|a|^2 + |b|^2) = 2 sqrt(p(1-p)), p the ABL
+    probability of e, with CONSISTENCY_TOL: r does not scale with the overlap
+    and vanishes exactly when the weak value of e is 0 or 1 (r is 0 when
+    neither history has weight).  The failure mode is read from
+    wv(e) conj(1 - wv(e)), real and positive exactly when wv(e) is real and
+    inside (0, 1), or from the functional itself when s = 0.
     """
     a = fam.e.amplitude(fam.post.vec, fam.pre.vec)
     overlap = inner(fam.post.vec, fam.pre.vec)
-    functional = a * (overlap - a).conjugate()
-    consistent = abs(functional) <= CONSISTENCY_TOL
+    b = overlap - a
+    functional = a * b.conjugate()
+    norm = math.hypot(abs(a), abs(b))  # divided out first, so tiny amplitudes do not underflow
+    r = 2.0 * (abs(a) / norm) * (abs(b) / norm) if norm > ZERO_TOL else 0.0
+    consistent = r <= CONSISTENCY_TOL
     if abs(overlap) <= ZERO_TOL:
         factor_wv: Optional[complex] = None
         factor_wv_conj: Optional[complex] = None
+        mode = _failure_mode(functional)
     else:
         factor_wv = a / overlap
-        factor_wv_conj = ((overlap - a) / overlap).conjugate()
+        factor_wv_conj = (b / overlap).conjugate()
+        mode = _failure_mode(factor_wv * factor_wv_conj)  # at most 1/4 when real and positive
 
     return ConsistencyReport(
         functional=functional,
         consistent=consistent,
-        failure_mode=_classify_functional(functional, consistent),
+        failure_mode=FailureMode.NONE if consistent else mode,
         factor_overlap_sq=abs(overlap) ** 2,
         factor_wv=factor_wv,
         factor_wv_conj=factor_wv_conj,

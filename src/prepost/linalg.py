@@ -3,13 +3,12 @@
 Vectors and matrices carry the labels of the basis they are expressed in;
 `inner` and `apply` check that their operands share one labeled basis,
 so amplitudes written in different bases can never be mixed silently.
-All values are immutable after construction and safe to share between
-concurrent workers.
+Their arrays are read-only after construction, so values are safe to share
+between concurrent workers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -35,7 +34,8 @@ DEGENERACY_TOL = 1e-8
 SHARP_TOL = 1e-10
 #: An imaginary part at or below this is zero (weak values, functionals, file eigenvalues).
 REAL_TOL = 1e-10
-#: A family is consistent when its interference functional is at most this in magnitude.
+#: A family is consistent when r = 2|a||s-a| / (|a|^2 + |s-a|^2) is at most this, with
+#: a = <f|E|d> and s = <f|d>: r is scale-free and vanishes when the weak value of E is 0 or 1.
 CONSISTENCY_TOL = 1e-10
 #: A value within this of an exact one is it: a fixture, a real sqrt argument, a 0/1 entry.
 EXACT_TOL = 1e-12
@@ -63,26 +63,20 @@ def check_same_basis(a: "CVec | CMat", b: "CVec | CMat") -> None:
         )
 
 
-@dataclass(frozen=True, eq=False)
 class CVec:
     """Complex amplitude vector over a labeled finite basis."""
 
-    amps: np.ndarray
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
+    def __init__(self, amps: np.ndarray, labels: Sequence[str] = ()):
+        amps = np.array(amps, dtype=complex)
         if amps.ndim != 1 or amps.size < 1:
             raise DimensionError("amplitude vector must be 1-d and non-empty")
-        labels = tuple(self.labels) if self.labels else index_labels(amps.size)
+        labels = tuple(labels) if labels else index_labels(amps.size)
         if len(labels) != amps.size:
             raise DimensionError(
                 f"{len(labels)} labels for {amps.size} amplitudes"
             )
-        amps = amps.copy()
         amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
-        object.__setattr__(self, "labels", labels)
+        self.amps, self.labels = amps, labels
 
     @property
     def dim(self) -> int:
@@ -114,28 +108,22 @@ class CVec:
         return cls(amps, labels)
 
 
-@dataclass(frozen=True, eq=False)
 class CMat:
     """Dense complex square matrix over a labeled finite basis."""
 
-    entries: np.ndarray
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
+    def __init__(self, entries: np.ndarray, labels: Sequence[str] = ()):
+        entries = np.array(entries, dtype=complex)
         if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
             raise DimensionError(f"matrix must be square, got {entries.shape}")
         if entries.shape[0] < 1:
             raise DimensionError("matrix must be non-empty")
-        labels = tuple(self.labels) if self.labels else index_labels(entries.shape[0])
+        labels = tuple(labels) if labels else index_labels(entries.shape[0])
         if len(labels) != entries.shape[0]:
             raise DimensionError(
                 f"{len(labels)} labels for dimension {entries.shape[0]}"
             )
-        entries = entries.copy()
         entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "labels", labels)
+        self.entries, self.labels = entries, labels
 
     @property
     def dim(self) -> int:

@@ -19,7 +19,6 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -55,7 +54,6 @@ _WRITE_ROWS = 2**12
 _FLOAT_COLS = 38
 
 
-@dataclass(frozen=True)
 class PointerConfig:
     """Apparatus geometry: pointer spread delta, ready position x0, coupling.
 
@@ -65,17 +63,14 @@ class PointerConfig:
     2^64 (max|c| + 10 delta)^2 is finite (delta <~ 3e143).
     """
 
-    delta: float
-    x0: float = 0.0
-    coupling: float = 1.0
-
-    def __post_init__(self):
-        if not (math.isfinite(self.delta) and self.delta > 0):
-            raise ValueError(f"delta must be positive and finite, got {self.delta}")
-        if not math.isfinite(self.x0):
-            raise ValueError(f"x0 must be finite, got {self.x0}")
-        if not (math.isfinite(self.coupling) and self.coupling != 0):
-            raise ValueError(f"coupling must be non-zero and finite, got {self.coupling}")
+    def __init__(self, delta: float, x0: float = 0.0, coupling: float = 1.0):
+        if not (math.isfinite(delta) and delta > 0):
+            raise ValueError(f"delta must be positive and finite, got {delta}")
+        if not math.isfinite(x0):
+            raise ValueError(f"x0 must be finite, got {x0}")
+        if not (math.isfinite(coupling) and coupling != 0):
+            raise ValueError(f"coupling must be non-zero and finite, got {coupling}")
+        self.delta, self.x0, self.coupling = delta, x0, coupling
 
 
 class Branches(NamedTuple):
@@ -207,8 +202,7 @@ def pointer_density(amps: Sequence[tuple[float, complex]], cfg: PointerConfig) -
     return Density(list(amps), cfg.delta)
 
 
-@dataclass(frozen=True)
-class PointerEnsemble:
+class PointerEnsemble(NamedTuple):
     """Monte Carlo pointer readings together with their source density.
 
     `samples` is None when the ensemble was drawn with keep_samples=False.

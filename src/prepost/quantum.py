@@ -11,10 +11,9 @@ operator's eigenvalue set:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -31,19 +30,16 @@ class WeakValueClass(Enum):
     STWV = "STWV"
 
 
-@dataclass(frozen=True, eq=False)
 class State:
     """Normalized pure state over a labeled basis."""
 
-    vec: CVec
-    label: str = ""
-
-    def __post_init__(self):
-        norm = self.vec.norm()
-        if abs(norm - 1.0) > NORM_TOL:
+    def __init__(self, vec: CVec, label: str = ""):
+        norm = vec.norm()
+        if not abs(norm - 1.0) <= NORM_TOL:  # so that a NaN norm fails too
             raise NormalizationError(
-                f"state {self.label or '<unnamed>'} has norm {norm:.12g}, expected 1"
+                f"state {label or '<unnamed>'} has norm {norm:.12g}, expected 1"
             )
+        self.vec, self.label = vec, label
 
     @property
     def dim(self) -> int:
@@ -65,7 +61,6 @@ class State:
         return cls(vec / norm, label)
 
 
-@dataclass(frozen=True, eq=False)
 class Projector:
     """Orthogonal projector QQ^dagger, held as orthonormal columns Q (n x r).
 
@@ -73,28 +68,23 @@ class Projector:
     `mat` is read; applying the projector costs O(n r) as Q(Q^dagger v).
     """
 
-    q: np.ndarray
-    labels: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        q = np.array(self.q, dtype=complex)
+    def __init__(self, q: np.ndarray, labels: Sequence[str] = ()):
+        q = np.array(q, dtype=complex)
         if q.ndim != 2:
             raise DimensionError(f"projector columns must form a matrix, got {q.shape}")
-        labels = tuple(self.labels) if self.labels else index_labels(q.shape[0])
+        labels = tuple(labels) if labels else index_labels(q.shape[0])
         if len(labels) != q.shape[0]:
             raise DimensionError(f"{len(labels)} labels for dimension {q.shape[0]}")
         if np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) > EQUAL_TOL:
             raise ValueError("projector columns are not orthonormal")
         q.setflags(write=False)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "labels", labels)
+        self.q, self.labels = q, labels
 
     @classmethod
     def _of_checked(cls, q: np.ndarray, labels: tuple[str, ...]) -> "Projector":
         """Wrap read-only columns whose orthonormality the caller checks."""
         proj = object.__new__(cls)
-        object.__setattr__(proj, "q", q)
-        object.__setattr__(proj, "labels", labels)
+        proj.q, proj.labels = q, labels
         return proj
 
     @property
@@ -172,7 +162,6 @@ class Projector:
         return cls(np.eye(len(labels)), labels)
 
 
-@dataclass(frozen=True, eq=False)
 class Observable:
     """Hermitian operator with its spectral decomposition.
 
@@ -182,22 +171,21 @@ class Observable:
     Side by side, the projectors' columns must form a unitary matrix.
     """
 
-    mat: CMat
-    eigenvalues: tuple[float, ...]
-    projectors: tuple[Projector, ...]
-
-    def __post_init__(self):
-        defect = self.mat.hermiticity_defect()
+    def __init__(
+        self, mat: CMat, eigenvalues: tuple[float, ...], projectors: tuple[Projector, ...]
+    ):
+        self.mat, self.eigenvalues, self.projectors = mat, eigenvalues, projectors
+        defect = mat.hermiticity_defect()
         if defect > EQUAL_TOL:
             raise NotHermitian(f"observable matrix deviates from Hermitian by {defect:.3g}")
-        if len(self.eigenvalues) != len(self.projectors):
+        if len(eigenvalues) != len(projectors):
             raise ValueError("eigenvalue list and projector list differ in length")
-        for lo, hi in zip(self.eigenvalues, self.eigenvalues[1:]):
+        for lo, hi in zip(eigenvalues, eigenvalues[1:]):
             if hi < lo:
                 raise ValueError("eigenvalues must be ascending")
             if hi - lo <= DEGENERACY_TOL:
                 raise ValueError(f"spectrum repeats eigenvalue {lo:g}")
-        v = np.hstack([p.q for p in self.projectors])
+        v = np.hstack([p.q for p in projectors])
         if v.shape[1] != self.dim:
             raise ValueError(
                 f"spectral projector ranks sum to {v.shape[1]}, not to the dimension {self.dim}"
@@ -271,8 +259,7 @@ def classify(value: complex, eigenvalues: Sequence[float]) -> WeakValueClass:
     return WeakValueClass.STWV
 
 
-@dataclass(frozen=True)
-class WeakValueReport:
+class WeakValueReport(NamedTuple):
     """A weak value together with its classification and the pre/post overlap."""
 
     value: complex

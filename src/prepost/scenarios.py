@@ -19,8 +19,7 @@ both-non-overlapping occupation weak value is -1.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -44,8 +43,7 @@ from .quantum import (
 )
 
 
-@dataclass(frozen=True)
-class Expectation:
+class Expectation(NamedTuple):
     """One stored result: what to compute, against which observable, and
 
     the exact value (plus classification where applicable)."""
@@ -58,28 +56,31 @@ class Expectation:
     failure: Optional[FailureMode] = None
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
 class Scenario:
-    name: str
-    basis_labels: tuple[str, ...]
-    pre: State
-    post: State
-    observables: dict[str, Observable]
-    expected: dict[str, Expectation] = field(default_factory=dict)
-    states: dict[str, State] = field(default_factory=dict)
-
-    def __post_init__(self):
+    def __init__(
+        self,
+        name: str,
+        basis_labels: tuple[str, ...],
+        pre: State,
+        post: State,
+        observables: dict[str, Observable],
+        expected: Optional[dict[str, Expectation]] = None,
+        states: Optional[dict[str, State]] = None,
+    ):
+        self.name, self.basis_labels, self.pre, self.post = name, basis_labels, pre, post
+        self.observables = observables
+        self.expected = {} if expected is None else expected
+        self.states = {} if states is None else states
         for key, exp in self.expected.items():
-            if exp.observable is not None and exp.observable not in self.observables:
+            if exp.observable is not None and exp.observable not in observables:
                 raise ScenarioFixtureError(
-                    f"{self.name}: expectation {key} names unknown observable "
+                    f"{name}: expectation {key} names unknown observable "
                     f"{exp.observable}"
                 )
         failures = [r for r in self.check_all() if not r.passed]

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -53,8 +53,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # complex | num | word | sqrt_sym | sym
     text: str
     line: int
@@ -264,11 +263,20 @@ def _parse_sum(cur: _Cursor, parse_term: Callable[[_Cursor], tuple[complex, Toke
             )
 
 
+def _finite_coefficient(cur: _Cursor) -> complex:
+    """A term's scalar; one that overflows is an error at the term's first token."""
+    first = cur.peek()
+    coeff = _scalar_term(cur)
+    if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
+        raise ParseError(f"coefficient {coeff!r} is not finite", first.line, first.col)
+    return coeff
+
+
 def _parse_state_term(cur: _Cursor) -> tuple[complex, Token]:
     t = cur.peek()
     if t is not None and t.kind == "word" and t.text != "sqrt":
         return complex(1.0), cur.next()
-    coeff = _scalar_term(cur)
+    coeff = _finite_coefficient(cur)
     t = cur.peek()
     if t is not None and t.kind == "sym" and t.text == "*":
         cur.next()
@@ -276,7 +284,7 @@ def _parse_state_term(cur: _Cursor) -> tuple[complex, Token]:
 
 
 def _parse_obs_term(cur: _Cursor) -> tuple[complex, Token]:
-    coeff = _scalar_term(cur)
+    coeff = _finite_coefficient(cur)
     cur.expect_sym("*")
     return coeff, cur.expect_word()
 
@@ -503,7 +511,7 @@ def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
         norm = vec.norm()
         if norm <= ZERO_TOL:
             raise NormalizationError(f"state {st.name!r} has zero norm", st.line)
-        if not st.normalize and abs(norm - 1.0) > DECLARED_NORM_TOL:
+        if not st.normalize and not abs(norm - 1.0) <= DECLARED_NORM_TOL:
             raise NormalizationError(
                 f"state {st.name!r} has norm {norm:.9g}; fix the amplitudes or "
                 "declare it with 'normalize'",

@@ -325,19 +325,126 @@ def test_simulate_prints_no_warnings(flags):
     assert proc.stderr == ""
 
 
-def test_import_loads_no_executor_modules():
-    # startup cost shows on every short scencli process; the sampler's
-    # threads come from `threading`, which numpy has already imported
+#: Imports numpy, then the CLI, and runs it in-process when given arguments;
+#: prints the exit code and every module loaded beyond numpy's own to stderr.
+_LOADED_PROBE = (
+    "import sys, numpy\n"
+    "before = set(sys.modules)\n"
+    "from prepost.cli import main\n"
+    "code = main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+    "print(code, *sorted(set(sys.modules) - before), file=sys.stderr)\n"
+)
+
+#: The sampler's threads come from `threading`, which numpy has already imported.
+_NEVER = {"concurrent.futures", "multiprocessing"}
+_SAMPLING_AND_FILES = {"prepost.pointer", "prepost.scenfile", "dataclasses", "numpy.random"}
+
+
+def test_import_loads_no_executor_modules(tmp_path):
+    # startup cost shows on every short scencli process, so each subcommand
+    # loads only the modules it calls: builtin queries neither parse nor sample
+    path = tmp_path / "boxes.scen"
+    path.write_text(scenfile.serialize(scenfile.doc_from_scenario(scenarios.three_box())))
+    builtin = _NEVER | _SAMPLING_AND_FILES
+    table = [
+        ((), builtin, set()),
+        (("weakvalue", "builtin:three-box", "--obs", "C"), builtin, set()),
+        (("consistency", "builtin:hardy", "--obs", "N1"), builtin, set()),
+        (("abl", "builtin:three-box", "--obs", "C", "--outcome", "1"), builtin, set()),
+        (("weight", "builtin:hardy", "--obs", "N1"), builtin, set()),
+        (("verify", "builtin:hardy"), builtin, set()),
+        (("weakvalue", str(path), "--obs", "C"), _NEVER | {"prepost.pointer"},
+         {"prepost.scenfile"}),
+        (SIMULATE, _NEVER | {"prepost.scenfile", "dataclasses"}, {"prepost.pointer"}),
+    ]
+    for argv, absent, present in table:
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOADED_PROBE, *argv], capture_output=True, text=True
+        )
+        status, *loaded = proc.stderr.split()
+        assert status == "0", (argv, proc.stderr)
+        assert not absent & set(loaded), (argv, sorted(absent & set(loaded)))
+        assert present <= set(loaded), (argv, sorted(present - set(loaded)))
+
+
+def test_every_exported_name_resolves():
+    # pointer and scenfile names are exported lazily; each must still resolve
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import prepost, sys; "
-         "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') "
-         "if m in sys.modules))"],
+         "import prepost; print(sorted(n for n in prepost.__all__ if not hasattr(prepost, n)))"],
         capture_output=True,
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+    import prepost
+
+    assert prepost.parse is scenfile.parse and prepost.PointerConfig is PointerConfig
+    with pytest.raises(AttributeError):
+        prepost.no_such_name
+
+
+def test_non_utf8_file_gives_one_parse_error(capsys, tmp_path):
+    path = tmp_path / "bad.scn"
+    cases = ((b"\xff\xfe bad", 1, 1), ("basis a b\n# café ".encode() + b"\xff", 2, 8))
+    for data, line, col in cases:
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "weakvalue", str(path), "--obs", "C")
+        assert code == 1
+        assert out == ""
+        assert err == (f'error kind=ParseError line={line} col={col} '
+                       'msg="not UTF-8: invalid start byte 0xff"\n')
+
+
+@pytest.mark.parametrize(
+    "decl, col",
+    [("state psi = 1e400 a", 13), ("state psi = a - 1e300*1e300 b", 17)],
+)
+def test_overflowing_amplitude_is_a_parse_error(capsys, tmp_path, decl, col):
+    # inf * sign is inf+nanj, whose NaN norm used to pass the norm check
+    path = tmp_path / "huge.scn"
+    path.write_text(f"basis a b\n{decl}\npre psi\npost psi\nproj P = |a><a|\n"
+                    "proj Q = |b><b|\nobs C = 1*P + 0*Q\n")
+    code, out, err = run_cli(capsys, "weakvalue", str(path), "--obs", "C")
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"error kind=ParseError line=2 col={col} msg=")
+    path.write_text("basis a b\nstate psi = a\npre psi\npost psi\nproj P = |a><a|\n"
+                    "proj Q = |b><b|\nobs C = 1e400*P + 0*Q\n")
+    code, _, err = run_cli(capsys, "weakvalue", str(path), "--obs", "C")
+    assert code == 1
+    assert err.startswith("error kind=ParseError line=7 col=9 msg=")
+
+
+#: psi = a + 1e-7 b against a post-selection phi at a small overlap.
+_SMALL_OVERLAP = """\
+basis a b
+state psi = {psi}
+state phi = {phi}
+pre psi
+post phi
+proj Pb = |b><b|
+proj Pa = |a><a|
+obs B = 1*Pb + 0*Pa
+"""
+
+
+@pytest.mark.parametrize(
+    "phi, wv, mode",
+    [
+        ("0.0000001 a + sqrt(1-1e-14) b", "0.5", "Unsharp"),  # overlap 2e-7
+        ("-0.0000002 a + sqrt(1-4e-14) b", "-1", "Strange"),  # overlap -1e-7
+    ],
+)
+def test_consistency_verdict_does_not_scale_with_the_overlap(capsys, tmp_path, phi, wv, mode):
+    path = tmp_path / "small.scn"
+    path.write_text(_SMALL_OVERLAP.format(psi="sqrt(1-1e-14) a + 0.0000001 b", phi=phi))
+    code, out, _ = run_cli(capsys, "consistency", str(path), "--obs", "B")
+    assert code == 0
+    d = kv(out)
+    assert d["factor.wv.re"] == wv
+    assert d["consistent"] == "false"
+    assert d["failure_mode"] == mode
 
 
 def test_checks_do_not_rely_on_assert():

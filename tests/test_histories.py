@@ -309,3 +309,65 @@ def test_abl_weight_disagreement_on_box_c():
     abl, weight = _abl_and_weight(fam)
     assert abl == pytest.approx(0.2, abs=1e-12)
     assert weight == pytest.approx(1.0, abs=1e-12)
+
+
+def _family_with_weak_value(gen, dim: int, overlap: complex, wv: complex):
+    """A family with <f|d> = overlap and weak value wv of e, or None if f cannot be unit.
+
+    e projects on a random proper subset of the basis and d spans every basis
+    vector but the last.  f is x E|d> + y (1-E)|d> plus the last basis vector,
+    so <f|E|d> = wv overlap and <f|(1-E)|d> = (1 - wv) overlap are sums of
+    terms of one phase, exact to rounding at any overlap, and a weak value of
+    0 or 1 leaves one of them exactly zero.
+    """
+    inside = gen.permutation(dim) < gen.integers(1, dim)
+    d = gen.normal(size=dim) + 1j * gen.normal(size=dim)
+    d[-1] = 0.0
+    d /= np.linalg.norm(d)
+    f = np.zeros(dim, dtype=complex)
+    parts = ((wv * overlap, np.where(inside, d, 0)), ((1 - wv) * overlap, np.where(inside, 0, d)))
+    for amp, part in parts:
+        if amp != 0:
+            weight = np.vdot(part, part).real
+            if weight == 0:
+                return None
+            f += np.conj(amp) / weight * part
+    rest = 1.0 - np.vdot(f, f).real
+    if rest < 0:
+        return None
+    f[-1] = np.sqrt(rest)
+    labels = tuple(str(k) for k in range(dim))
+    e = Projector.on_labels(labels, [labels[k] for k in np.flatnonzero(inside)])
+    return Family(State(CVec(d, labels)), e, State(CVec(f, labels)))
+
+
+def test_consistency_holds_exactly_at_weak_values_0_and_1_at_every_overlap():
+    # |<f|d>| log-uniform in [1e-10, 1]: the functional scales with |<f|d>|^2, so an
+    # absolute threshold on it called every small-overlap family consistent
+    gen = np.random.default_rng(80_001)
+    cases = [(0.0, FailureMode.NONE), (1.0, FailureMode.NONE),
+             (0.5, FailureMode.UNSHARP), (1e-6, FailureMode.UNSHARP),
+             (1 - 1e-6, FailureMode.UNSHARP), (-1.0, FailureMode.STRANGE),
+             (2.0, FailureMode.STRANGE), (0.5 + 0.5j, FailureMode.STRANGE),
+             (1j, FailureMode.STRANGE)]
+    seen = set()
+    trials = 0
+    while trials < 600:
+        dim = int(gen.integers(2, 33))
+        overlap = 10.0 ** gen.uniform(-10, 0) * np.exp(2j * np.pi * gen.uniform())
+        wv, mode = cases[gen.integers(len(cases))]
+        fam = _family_with_weak_value(gen, dim, overlap, wv)
+        if fam is None:
+            continue
+        report = consistency(fam)
+        assert report.consistent == (mode is FailureMode.NONE), (dim, overlap, wv)
+        assert report.failure_mode is mode, (dim, overlap, wv)
+        assert abs(report.factor_wv - wv) <= 1e-9 * max(1.0, abs(wv))
+        weight = conditional_weight(fam.e, fam.d, fam.f)
+        assert weight == pytest.approx(abs(wv) ** 2, rel=1e-9, abs=1e-12)
+        abl = abl_probability(as_observable(fam.e), fam.pre, fam.post, 1.0)
+        assert abl == pytest.approx(abl_from_weak_values(wv), rel=1e-9, abs=1e-12)
+        seen.add((mode, abs(overlap) < 1e-5))
+        trials += 1
+    # every verdict was met at overlaps both below and above 1e-5
+    assert len(seen) == 6

@@ -36,6 +36,13 @@ def test_state_requires_unit_norm():
         State.normalized(np.array([0.0, 0.0]))
 
 
+@pytest.mark.parametrize("amps", [[np.nan, 0.0], [np.inf, 0.0], [complex(np.inf, np.nan), 0.0]])
+def test_state_rejects_a_non_finite_norm(amps):
+    # a NaN norm compares false with everything, so the check must fail on it
+    with pytest.raises(NormalizationError):
+        State(CVec(np.array(amps)))
+
+
 def test_projector_onto_and_complement():
     p = Projector.onto(CVec(np.array([1.0, 1.0])))
     assert p.rank == 1
