@@ -15,6 +15,7 @@ from .errors import (
     NotHermitian,
     ParseError,
     PointerRangeError,
+    PositionedError,
     PostSelectionImpossible,
     PrepostError,
     ScenarioFixtureError,
@@ -86,6 +87,7 @@ __all__ = [
     "PointerConfig",
     "PointerEnsemble",
     "PointerRangeError",
+    "PositionedError",
     "PostSelectionImpossible",
     "PrepostError",
     "Projector",

@@ -20,9 +20,9 @@ from typing import Optional
 
 from . import scenarios
 from .errors import (
-    NormalizationError,
     ParseError,
     PointerRangeError,
+    PositionedError,
     PostSelectionImpossible,
     ScenarioFixtureError,
     UndefinedABL,
@@ -296,7 +296,7 @@ def main(argv=None) -> int:
     except (UsageError, UnknownEigenvalue) as exc:
         _emit_error("Usage", str(exc))
         return 1
-    except (ParseError, NormalizationError) as exc:
+    except PositionedError as exc:
         msg = exc.args[0] if exc.args else str(exc)
         _emit_error(type(exc).__name__, msg, line=exc.line, col=exc.col)
         return 1

@@ -15,12 +15,8 @@ class BasisMismatch(DimensionError):
     """Operands are expressed over different labeled bases."""
 
 
-class NormalizationError(PrepostError):
-    """A state vector does not have unit norm.
-
-    Carries an optional source position when raised by the scenario-file
-    parser.
-    """
+class PositionedError(PrepostError):
+    """An error that may carry a source position in a scenario file."""
 
     def __init__(self, msg: str, line: int | None = None, col: int | None = None):
         super().__init__(msg)
@@ -29,9 +25,15 @@ class NormalizationError(PrepostError):
 
     def __str__(self) -> str:
         base = super().__str__()
+        if self.line is not None and self.col is not None:
+            return f"line {self.line}, col {self.col}: {base}"
         if self.line is not None:
             return f"line {self.line}: {base}"
         return base
+
+
+class NormalizationError(PositionedError):
+    """A state vector does not have unit norm."""
 
 
 class NotHermitian(PrepostError):
@@ -66,18 +68,5 @@ class ScenarioFixtureError(PrepostError):
     """A scenario's stored expected values failed recomputation at load."""
 
 
-class ParseError(PrepostError):
-    """Scenario-file error carrying a source position."""
-
-    def __init__(self, msg: str, line: int | None = None, col: int | None = None):
-        super().__init__(msg)
-        self.line = line
-        self.col = col
-
-    def __str__(self) -> str:
-        base = super().__str__()
-        if self.line is not None and self.col is not None:
-            return f"line {self.line}, col {self.col}: {base}"
-        if self.line is not None:
-            return f"line {self.line}: {base}"
-        return base
+class ParseError(PositionedError):
+    """A scenario file that does not follow the format."""

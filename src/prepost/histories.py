@@ -29,7 +29,7 @@ from .errors import (
     UndefinedWeight,
     UnknownEigenvalue,
 )
-from .linalg import CONSISTENCY_TOL, REAL_TOL, ZERO_TOL, inner
+from .linalg import CONSISTENCY_TOL, REAL_TOL, ZERO_TOL, check_same_basis, inner
 from .quantum import Observable, Projector, State
 
 
@@ -52,12 +52,14 @@ class Family:
     """Pure pre-selection, middle event e, pure post-selection.
 
     The two histories pre -> e -> post and pre -> (1-e) -> post share the
-    endpoints and partition the middle time.
+    endpoints and partition the middle time.  The endpoint projectors `d` and
+    `f` are built on first read; `consistency` reads only the states.
     """
 
     def __init__(self, pre: State, e: Projector, post: State):
+        check_same_basis(pre.vec, e)
+        check_same_basis(e, post.vec)
         self.pre, self.e, self.post = pre, e, post
-        _check_conformable(self.d, e, self.f)
 
     @cached_property
     def d(self) -> Projector:

@@ -9,6 +9,8 @@ between concurrent workers.
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -42,6 +44,9 @@ EXACT_TOL = 1e-12
 
 #: Separator used when tensor products concatenate factor basis labels.
 LABEL_JOIN = "_"
+
+#: A norm below this has a subnormal square: sqrt of the smallest normal double.
+_NORM_MIN = math.sqrt(sys.float_info.min)
 
 
 def index_labels(n: int) -> tuple[str, ...]:
@@ -83,7 +88,15 @@ class CVec:
         return self.amps.size
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.amps))
+        """Euclidean norm.  Where the sum of squares overflows or is subnormal, the
+        amplitudes are divided by their largest modulus first."""
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(self.amps))
+            if not _NORM_MIN <= norm < math.inf:
+                scale = float(np.abs(self.amps).max())
+                if 0.0 < scale < math.inf:
+                    norm = scale * float(np.linalg.norm(self.amps.view(float) / scale))
+        return norm
 
     def allclose(self, other: "CVec") -> bool:
         return self.labels == other.labels and bool(

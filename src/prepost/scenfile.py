@@ -20,13 +20,19 @@ forms `⟨ ⟩ √` are accepted as aliases of `< > sqrt`, and names may use
 any Unicode letters.  States must arrive normalized to within 1e-6
 unless the declaration carries `normalize`.  All diagnostics carry
 source positions.
+
+Declarations are content-only records, so documents compare by content
+and `parse(serialize(doc)) == doc`.  The positions live in one table,
+`doc.lines`: `parse` fills it with the line of each declared name and of
+the `pre` and `post` directives, and `to_scenario` reads it for the lines
+of its errors.  A hand-built document has an empty table.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -205,40 +211,37 @@ def _scalar_atom(cur: _Cursor) -> complex:
     raise ParseError(f"expected a number, got {tok.text!r}", tok.line, tok.col)
 
 
-@dataclass(frozen=True)
-class StateDecl:
+class StateDecl(NamedTuple):
     name: str
     terms: tuple[tuple[complex, str], ...]
     normalize: bool = False
-    line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
-class ProjDecl:
+class ProjDecl(NamedTuple):
     name: str
     kind: str  # ketbra | span
     args: tuple[str, ...]
-    line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
-class ObsDecl:
+class ObsDecl(NamedTuple):
     name: str
     terms: tuple[tuple[float, str], ...]
-    line: int = field(default=0, compare=False)
 
 
-@dataclass(frozen=True)
-class ScenarioDoc:
+class ScenarioDoc(NamedTuple):
     basis: tuple[str, ...] = ()
     states: tuple[StateDecl, ...] = ()
     projs: tuple[ProjDecl, ...] = ()
     obs: tuple[ObsDecl, ...] = ()
     pre: Optional[str] = None
     post: Optional[str] = None
-    basis_line: int = field(default=0, compare=False)
-    pre_line: int = field(default=0, compare=False)
-    post_line: int = field(default=0, compare=False)
+    #: Source line of each declared name and of the `pre` and `post` directives;
+    #: empty unless the document came from `parse`.
+    lines = MappingProxyType({})
+
+
+class _ParsedDoc(ScenarioDoc):
+    """A parsed document; its instance `lines` holds the parser's table."""
 
 
 def _parse_sum(cur: _Cursor, parse_term: Callable[[_Cursor], tuple[complex, Token]]):
@@ -291,28 +294,27 @@ def _parse_obs_term(cur: _Cursor) -> tuple[complex, Token]:
 
 class _Parser:
     def __init__(self):
-        self.names: dict[str, tuple[str, int]] = {}
+        # the line of each declared name and of `pre` and `post` (reserved, so no name)
+        self.lines: dict[str, int] = {}
+        self.kinds: dict[str, str] = {}
         self.basis: tuple[str, ...] = ()
-        self.basis_line = 0
         self.states: list[StateDecl] = []
         self.projs: list[ProjDecl] = []
         self.obs: list[ObsDecl] = []
         self.pre: Optional[str] = None
         self.post: Optional[str] = None
-        self.pre_line = 0
-        self.post_line = 0
 
     def declare(self, tok: Token, kind: str):
         if tok.text in RESERVED:
             raise ParseError(f"{tok.text!r} is a reserved word", tok.line, tok.col)
-        if tok.text in self.names:
-            prev_kind, prev_line = self.names[tok.text]
+        if tok.text in self.lines:
             raise ParseError(
-                f"{tok.text!r} already declared as {prev_kind} on line {prev_line}",
+                f"{tok.text!r} already declared as {self.kinds[tok.text]} "
+                f"on line {self.lines[tok.text]}",
                 tok.line,
                 tok.col,
             )
-        self.names[tok.text] = (kind, tok.line)
+        self.lines[tok.text], self.kinds[tok.text] = tok.line, kind
 
     def parse_line(self, cur: _Cursor):
         head = cur.expect_word()
@@ -325,7 +327,6 @@ class _Parser:
             for tok in labels:
                 self.declare(tok, "basis label")
             self.basis = tuple(tok.text for tok in labels)
-            self.basis_line = head.line
         elif head.text == "state":
             name = cur.expect_word()
             self.declare(name, "state")
@@ -337,30 +338,21 @@ class _Parser:
             cur.expect_sym("=")
             terms = _parse_sum(cur, _parse_state_term)
             self.states.append(
-                StateDecl(
-                    name.text,
-                    tuple((coeff, tok.text) for coeff, tok in terms),
-                    normalize,
-                    head.line,
-                )
+                StateDecl(name.text, tuple((coeff, tok.text) for coeff, tok in terms), normalize)
             )
         elif head.text in ("pre", "post"):
             name = cur.expect_word()
             cur.expect_end()
-            if head.text == "pre":
-                if self.pre is not None:
-                    raise ParseError("duplicate pre declaration", head.line, head.col)
-                self.pre, self.pre_line = name.text, head.line
-            else:
-                if self.post is not None:
-                    raise ParseError("duplicate post declaration", head.line, head.col)
-                self.post, self.post_line = name.text, head.line
+            if getattr(self, head.text) is not None:
+                raise ParseError(f"duplicate {head.text} declaration", head.line, head.col)
+            setattr(self, head.text, name.text)
+            self.lines[head.text] = head.line
         elif head.text == "proj":
             name = cur.expect_word()
             self.declare(name, "projector")
             cur.expect_sym("=")
             kind, args = self._parse_proj_rhs(cur)
-            self.projs.append(ProjDecl(name.text, kind, args, head.line))
+            self.projs.append(ProjDecl(name.text, kind, args))
         elif head.text == "obs":
             name = cur.expect_word()
             self.declare(name, "observable")
@@ -373,7 +365,7 @@ class _Parser:
                         f"eigenvalue for {tok.text!r} must be real", tok.line, tok.col
                     )
                 decl_terms.append((float(coeff.real), tok.text))
-            self.obs.append(ObsDecl(name.text, tuple(decl_terms), head.line))
+            self.obs.append(ObsDecl(name.text, tuple(decl_terms)))
         else:
             raise ParseError(
                 f"unknown directive {head.text!r}; expected basis, state, pre, "
@@ -421,17 +413,12 @@ def parse(text: str) -> ScenarioDoc:
         if not tokens:
             continue
         parser.parse_line(_Cursor(tokens, line_no, len(line)))
-    return ScenarioDoc(
-        basis=parser.basis,
-        states=tuple(parser.states),
-        projs=tuple(parser.projs),
-        obs=tuple(parser.obs),
-        pre=parser.pre,
-        post=parser.post,
-        basis_line=parser.basis_line,
-        pre_line=parser.pre_line,
-        post_line=parser.post_line,
+    doc = _ParsedDoc(
+        parser.basis, tuple(parser.states), tuple(parser.projs), tuple(parser.obs),
+        parser.pre, parser.post,
     )
+    doc.lines = parser.lines
+    return doc
 
 
 def _fmt_float(x: float) -> str:
@@ -494,32 +481,36 @@ def serialize(doc: ScenarioDoc) -> str:
 
 
 def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
-    """Resolve a parsed document into a live Scenario (empty fixture set)."""
+    """Resolve a document into a live Scenario (empty fixture set).
+
+    Errors carry the line `doc.lines` records for the declaration at fault,
+    so those of a hand-built document carry none.
+    """
     if not doc.basis:
         raise ParseError("missing basis declaration")
     index = label_index(doc.basis)
     states: dict[str, State] = {}
     for st in doc.states:
+        line = doc.lines.get(st.name)
         amps = np.zeros(len(doc.basis), dtype=complex)
         for coeff, label in st.terms:
             if label not in index:
-                raise ParseError(
-                    f"unknown basis label {label!r} in state {st.name!r}", st.line
-                )
+                raise ParseError(f"unknown basis label {label!r} in state {st.name!r}", line)
             amps[index[label]] += coeff
         vec = CVec(amps, doc.basis)
         norm = vec.norm()
-        if norm <= ZERO_TOL:
-            raise NormalizationError(f"state {st.name!r} has zero norm", st.line)
+        # a `normalize` state may have any scale, so only an exactly zero one is zero
+        if norm <= (0.0 if st.normalize else ZERO_TOL):
+            raise NormalizationError(f"state {st.name!r} has zero norm", line)
         if not st.normalize and not abs(norm - 1.0) <= DECLARED_NORM_TOL:
             raise NormalizationError(
                 f"state {st.name!r} has norm {norm:.9g}; fix the amplitudes or "
                 "declare it with 'normalize'",
-                st.line,
+                line,
             )
         states[st.name] = State(vec / norm, st.name)
 
-    def resolve_vector(label: str, line: int, context: str) -> CVec:
+    def resolve_vector(label: str, line: Optional[int], context: str) -> CVec:
         if label in index:
             return CVec.basis_vector(label, doc.basis, index)
         if label in states:
@@ -528,14 +519,9 @@ def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
 
     projs: dict[str, Projector] = {}
     for pj in doc.projs:
-        if pj.kind == "ketbra":
-            vec = resolve_vector(pj.args[0], pj.line, f"projector {pj.name!r}")
-            projs[pj.name] = Projector.onto(vec)
-        else:
-            vecs = [
-                resolve_vector(a, pj.line, f"projector {pj.name!r}") for a in pj.args
-            ]
-            projs[pj.name] = Projector.span(vecs)
+        line, context = doc.lines.get(pj.name), f"projector {pj.name!r}"
+        vecs = [resolve_vector(a, line, context) for a in pj.args]
+        projs[pj.name] = Projector.onto(vecs[0]) if pj.kind == "ketbra" else Projector.span(vecs)
 
     observables: dict[str, Observable] = {}
     for ob in doc.obs:
@@ -543,7 +529,8 @@ def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
         for lam, pname in ob.terms:
             if pname not in projs:
                 raise ParseError(
-                    f"unknown projector {pname!r} in observable {ob.name!r}", ob.line
+                    f"unknown projector {pname!r} in observable {ob.name!r}",
+                    doc.lines.get(ob.name),
                 )
             pairs.append((lam, projs[pname]))
         pairs.sort(key=lambda p: p[0])
@@ -558,7 +545,7 @@ def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
         except (ValueError, NotHermitian) as exc:
             raise ParseError(
                 f"observable {ob.name!r} is not a spectral decomposition: {exc}",
-                ob.line,
+                doc.lines.get(ob.name),
             ) from None
 
     if doc.pre is None:
@@ -566,9 +553,9 @@ def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
     if doc.post is None:
         raise ParseError("missing post declaration")
     if doc.pre not in states:
-        raise ParseError(f"pre names undeclared state {doc.pre!r}", doc.pre_line)
+        raise ParseError(f"pre names undeclared state {doc.pre!r}", doc.lines.get("pre"))
     if doc.post not in states:
-        raise ParseError(f"post names undeclared state {doc.post!r}", doc.post_line)
+        raise ParseError(f"post names undeclared state {doc.post!r}", doc.lines.get("post"))
 
     return Scenario(
         name=name,

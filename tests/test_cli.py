@@ -353,7 +353,7 @@ def test_import_loads_no_executor_modules(tmp_path):
         (("abl", "builtin:three-box", "--obs", "C", "--outcome", "1"), builtin, set()),
         (("weight", "builtin:hardy", "--obs", "N1"), builtin, set()),
         (("verify", "builtin:hardy"), builtin, set()),
-        (("weakvalue", str(path), "--obs", "C"), _NEVER | {"prepost.pointer"},
+        (("weakvalue", str(path), "--obs", "C"), _NEVER | {"prepost.pointer", "dataclasses"},
          {"prepost.scenfile"}),
         (SIMULATE, _NEVER | {"prepost.scenfile", "dataclasses"}, {"prepost.pointer"}),
     ]
@@ -414,6 +414,21 @@ def test_overflowing_amplitude_is_a_parse_error(capsys, tmp_path, decl, col):
     code, _, err = run_cli(capsys, "weakvalue", str(path), "--obs", "C")
     assert code == 1
     assert err.startswith("error kind=ParseError line=7 col=9 msg=")
+
+
+def test_normalized_state_at_any_scale_gives_the_unit_scale_weak_value(capsys, tmp_path):
+    # the squares of 1e200 overflow and those of 1e-200 underflow
+    path = tmp_path / "scaled.scn"
+    weak_values = []
+    for s in ("1", "1e200", "1e-200"):
+        path.write_text(f"basis a b c\nstate psi normalize = {s} a + {s} b + {s} c\n"
+                        f"state phi normalize = {s} a + {s} b - {s} c\npre psi\npost phi\n"
+                        "proj PC = |c><c|\nproj PCc = span(a, b)\nobs C = 1*PC + 0*PCc\n")
+        code, out, err = run_cli(capsys, "weakvalue", str(path), "--obs", "C")
+        assert (code, err) == (0, ""), s
+        weak_values.append({k: v for k, v in kv(out).items() if k.startswith("wv.")})
+    assert weak_values[0] == {"wv.class": "STWV", "wv.im": "0", "wv.re": "-1"}
+    assert weak_values[1] == weak_values[0] and weak_values[2] == weak_values[0]
 
 
 #: psi = a + 1e-7 b against a post-selection phi at a small overlap.

@@ -20,7 +20,8 @@ from prepost import (
     three_box,
     weak_value,
 )
-from prepost.errors import DimensionError
+from prepost.errors import BasisMismatch, DimensionError
+from prepost.pointer import Density, PointerConfig, entangle, postselect
 
 from conftest import (
     projector_containing,
@@ -42,6 +43,16 @@ def test_history_requires_matching_dimensions():
     d3 = Projector.identity(("x", "y", "z"))
     with pytest.raises(DimensionError):
         history_weight(d2, d3, d2)
+
+
+def test_family_checks_bases_and_builds_endpoints_only_when_read():
+    sc, fam = _three_box_family()
+    consistency(fam)
+    assert "d" not in vars(fam) and "f" not in vars(fam)
+    with pytest.raises(DimensionError):
+        Family(sc.pre, Projector.identity(("a", "b")), sc.post)
+    with pytest.raises(BasisMismatch):
+        Family(sc.pre, Projector.identity(("x", "y", "z")), sc.post)
 
 
 def test_family_complement_partitions_identity():
@@ -365,8 +376,15 @@ def test_consistency_holds_exactly_at_weak_values_0_and_1_at_every_overlap():
         assert abs(report.factor_wv - wv) <= 1e-9 * max(1.0, abs(wv))
         weight = conditional_weight(fam.e, fam.d, fam.f)
         assert weight == pytest.approx(abs(wv) ** 2, rel=1e-9, abs=1e-12)
-        abl = abl_probability(as_observable(fam.e), fam.pre, fam.post, 1.0)
+        obs = as_observable(fam.e)
+        abl = abl_probability(obs, fam.pre, fam.post, 1.0)
         assert abl == pytest.approx(abl_from_weak_values(wv), rel=1e-9, abs=1e-12)
+        # the pointer mean reads Re A_w for a wide pointer and the ABL mean for a narrow one
+        for delta, mean in ((1e4, pytest.approx(wv.real, abs=1e-6)),
+                            (1e-3, pytest.approx(abl, rel=1e-9, abs=1e-12))):
+            cfg = PointerConfig(delta)
+            amps, _ = postselect(entangle(obs, fam.pre, cfg), fam.post, cfg)
+            assert Density(amps, delta).mean() == mean, (dim, overlap, wv, delta)
         seen.add((mode, abs(overlap) < 1e-5))
         trials += 1
     # every verdict was met at overlaps both below and above 1e-5

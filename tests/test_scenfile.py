@@ -78,6 +78,20 @@ obs N2 = 1*P2 + 0*P2c
     )
 
 
+def test_lines_come_from_parse_alone():
+    doc = parse(THREE_BOX_TEXT)
+    assert doc.lines == {"a": 2, "b": 2, "c": 2, "psi": 3, "phi": 4, "pre": 5, "post": 6,
+                         "PC": 7, "PCc": 8, "C": 9}
+    with pytest.raises(ParseError, match="undeclared state 'nope'") as err:
+        to_scenario(parse(THREE_BOX_TEXT.replace("pre psi", "pre nope")))
+    assert err.value.line == 5
+    hand_built = ScenarioDoc(*doc._replace(pre="nope"))
+    assert hand_built.lines == {}
+    with pytest.raises(ParseError, match="undeclared state 'nope'") as err:
+        to_scenario(hand_built)
+    assert err.value.line is None
+
+
 def test_normalize_keyword_must_precede_equals():
     text = "basis a b\nstate x = 1 a normalize\npre x\npost x\n"
     with pytest.raises(ParseError, match="expected '\\+' or '-'"):
@@ -114,9 +128,11 @@ def test_unnormalized_state_without_keyword_is_rejected():
 
 
 def test_normalize_keyword_accepts_any_scale():
-    text = "basis a b\nstate x normalize = 3 a + 4 b\npre x\npost x\n"
-    sc = to_scenario(parse(text))
-    assert np.allclose(sc.states["x"].vec.amps, [0.6, 0.8])
+    # the squares of 3e200 overflow and those of 3e-200 underflow
+    for exponent in ("", "e200", "e-200"):
+        text = f"basis a b\nstate x normalize = 3{exponent} a + 4{exponent} b\npre x\npost x\n"
+        sc = to_scenario(parse(text))
+        assert np.allclose(sc.states["x"].vec.amps, [0.6, 0.8]), exponent
 
 
 def test_small_norm_slack_is_renormalized():
