@@ -14,6 +14,7 @@ Exit codes: 0 success, 1 usage, parse or file error, 2 computation error
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 from typing import Optional
@@ -309,4 +310,22 @@ def main(argv=None) -> int:
 
 
 def run():
-    sys.exit(main())
+    """Entry point of `python -m prepost` and `scencli`: run `main()`, flush, `os._exit`.
+
+    Interpreter teardown (module cleanup, final collections) takes tens of
+    milliseconds and writes nothing here: `pointer.sample` joins its threads,
+    the CSV writers close their files, and prepost registers no atexit hook.
+    A stdout that cannot be flushed (a pipe whose reader has gone) gives one
+    error record and exit 1, as unbuffered output does.  An exception that
+    escapes `main()` ends the process the usual way.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        _emit_error(type(exc).__name__, str(exc))
+        code = 1
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)

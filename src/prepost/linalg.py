@@ -17,7 +17,8 @@ import numpy as np
 
 from .errors import BasisMismatch, DimensionError
 
-# The tolerance table: each absolute threshold of prepost, named for the decision it makes.
+# The tolerance table: each threshold of prepost, named for the decision it makes.  All are
+# absolute except where a line says it is taken times a spectrum's largest |eigenvalue|.
 #: Arrays within this max-abs gap are equal: `allclose`, Q^dagger Q = I, M = M^dagger.
 EQUAL_TOL = 1e-10
 #: A state's norm is 1 within this.
@@ -30,11 +31,14 @@ DECLARED_NORM_TOL = 1e-6
 ZERO_TOL = 1e-12
 #: A post-selected pointer density whose rate is at or below this carries no weight.
 ZERO_RATE_TOL = 1e-24
-#: Eigenvalues this close are one: spectra merge them, Observable rejects them, outcomes match.
+#: Eigenvalues this close, times the spectrum's largest |eigenvalue|, are one: spectra merge
+#: them, Observable rejects them, outcomes match.
 DEGENERACY_TOL = 1e-8
-#: A weak value within this of an eigenvalue is sharp (SWV).
+#: A weak value within this of an eigenvalue is sharp (SWV); taken times the spectrum's
+#: largest |eigenvalue|.
 SHARP_TOL = 1e-10
-#: An imaginary part at or below this is zero (weak values, functionals, file eigenvalues).
+#: An imaginary part at or below this is zero (functionals, file eigenvalues; a weak value's
+#: is compared with this times the spectrum's largest |eigenvalue|).
 REAL_TOL = 1e-10
 #: A family is consistent when r = 2|a||s-a| / (|a|^2 + |s-a|^2) is at most this, with
 #: a = <f|E|d> and s = <f|d>: r is scale-free and vanishes when the weak value of E is 0 or 1.
@@ -97,6 +101,19 @@ class CVec:
                 if 0.0 < scale < math.inf:
                     norm = scale * float(np.linalg.norm(self.amps.view(float) / scale))
         return norm
+
+    def unit(self) -> "CVec":
+        """The vector divided by its norm.  Where that norm overflows or is subnormal,
+        the amplitudes are first divided by their largest modulus in real arithmetic:
+        numpy's complex quotient multiplies by the divisor's reciprocal, which
+        overflows for a subnormal norm, and an infinite norm would give zeros."""
+        norm = self.norm()
+        if not sys.float_info.min <= norm < math.inf:
+            scale = float(np.abs(self.amps).max())
+            if 0.0 < scale < math.inf:
+                rescaled = CVec((self.amps.view(float) / scale).view(complex), self.labels)
+                return rescaled / rescaled.norm()
+        return self / norm
 
     def allclose(self, other: "CVec") -> bool:
         return self.labels == other.labels and bool(

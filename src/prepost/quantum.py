@@ -58,7 +58,7 @@ class State:
         norm = vec.norm()
         if norm <= ZERO_TOL:
             raise NormalizationError(f"cannot normalize zero vector {label!r}")
-        return cls(vec / norm, label)
+        return cls(vec.unit(), label)
 
 
 class Projector:
@@ -162,12 +162,19 @@ class Projector:
         return cls(np.eye(len(labels)), labels)
 
 
+def _scaled(tol: float, eigenvalues: Sequence[float]) -> float:
+    """`tol` times the spectrum's largest |eigenvalue|, the scale of eigenvalue and
+    weak-value errors: scaling an observable then changes no merge, match or class."""
+    return tol * float(np.max(np.abs(eigenvalues), initial=0.0))
+
+
 class Observable:
     """Hermitian operator with its spectral decomposition.
 
     `eigenvalues` are the distinct eigenvalues in ascending order and
     `projectors` the matching spectral projectors (degenerate eigenvalues
-    share one higher-rank projector, so no two lie within DEGENERACY_TOL).
+    share one higher-rank projector, so no two lie within the spectrum's
+    DEGENERACY_TOL, see `_scaled`).
     Side by side, the projectors' columns must form a unitary matrix.
     """
 
@@ -180,10 +187,11 @@ class Observable:
             raise NotHermitian(f"observable matrix deviates from Hermitian by {defect:.3g}")
         if len(eigenvalues) != len(projectors):
             raise ValueError("eigenvalue list and projector list differ in length")
+        merge = _scaled(DEGENERACY_TOL, eigenvalues)
         for lo, hi in zip(eigenvalues, eigenvalues[1:]):
             if hi < lo:
                 raise ValueError("eigenvalues must be ascending")
-            if hi - lo <= DEGENERACY_TOL:
+            if hi - lo <= merge:
                 raise ValueError(f"spectrum repeats eigenvalue {lo:g}")
         v = np.hstack([p.q for p in projectors])
         if v.shape[1] != self.dim:
@@ -202,8 +210,9 @@ class Observable:
         return self.mat.labels
 
     def projector_for(self, outcome: float) -> Projector:
+        match = _scaled(DEGENERACY_TOL, self.eigenvalues)
         for lam, proj in zip(self.eigenvalues, self.projectors):
-            if abs(lam - outcome) <= DEGENERACY_TOL:
+            if abs(lam - outcome) <= match:
                 return proj
         raise KeyError(outcome)
 
@@ -215,14 +224,15 @@ OperatorLike = Union[Observable, Projector]
 def spectral_decompose(mat: CMat) -> Observable:
     """Eigendecompose a Hermitian matrix into distinct-eigenvalue projectors.
 
-    Eigenvalues within DEGENERACY_TOL of each other are merged into a single
-    rank-k projector, so exactly degenerate operators come out with the
-    expected multiplicities despite numerical jitter.  A non-Hermitian
-    matrix raises NotHermitian.
+    Eigenvalues within the spectrum's DEGENERACY_TOL of each other are merged
+    into a single rank-k projector, so exactly degenerate operators come out
+    with the expected multiplicities despite numerical jitter.  A
+    non-Hermitian matrix raises NotHermitian.
     """
     w, v = np.linalg.eigh(mat.entries)
     v.setflags(write=False)
-    cuts = [0, *(np.flatnonzero(np.diff(w) > DEGENERACY_TOL) + 1).tolist(), len(w)]
+    merge = _scaled(DEGENERACY_TOL, w)
+    cuts = [0, *(np.flatnonzero(np.diff(w) > merge) + 1).tolist(), len(w)]
     means = np.add.reduceat(w, cuts[:-1]) / np.diff(cuts)
     # Observable checks all of eigh's columns at once, so no block checks its own
     projectors = tuple(
@@ -247,14 +257,16 @@ def classify(value: complex, eigenvalues: Sequence[float]) -> WeakValueClass:
 
     Sharp when within SHARP_TOL of some eigenvalue; unsharp when real and inside
     the closed eigenvalue range; strange otherwise, including every value
-    with a non-negligible imaginary part.
+    with a non-negligible imaginary part.  Both tolerances are the spectrum's
+    (see `_scaled`), so scaling an observable does not change the class.
     """
     if not eigenvalues:
         raise ValueError("eigenvalue list must be non-empty")
     v = complex(value)
-    if any(abs(v - lam) <= SHARP_TOL for lam in eigenvalues):
+    sharp, real = _scaled(SHARP_TOL, eigenvalues), _scaled(REAL_TOL, eigenvalues)
+    if any(abs(v - lam) <= sharp for lam in eigenvalues):
         return WeakValueClass.SWV
-    if abs(v.imag) <= REAL_TOL and min(eigenvalues) <= v.real <= max(eigenvalues):
+    if abs(v.imag) <= real and min(eigenvalues) <= v.real <= max(eigenvalues):
         return WeakValueClass.UWV
     return WeakValueClass.STWV
 

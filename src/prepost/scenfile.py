@@ -508,7 +508,7 @@ def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
                 "declare it with 'normalize'",
                 line,
             )
-        states[st.name] = State(vec / norm, st.name)
+        states[st.name] = State(vec.unit(), st.name)
 
     def resolve_vector(label: str, line: Optional[int], context: str) -> CVec:
         if label in index:

@@ -1,5 +1,6 @@
 """Command-line interface: output format, exit codes, error records."""
 
+import os
 import re
 import subprocess
 import sys
@@ -280,18 +281,22 @@ def test_parse_error_record_has_position(capsys, tmp_path):
     assert m.group(1) == "2"
 
 
+#: Orthogonal pre- and post-selection: every weak value is undefined.
+_BLOCKED = """\
+basis a b
+state up = 1 a
+state down = 1 b
+pre up
+post down
+proj Pa = |a><a|
+proj Pb = |b><b|
+obs O = 1*Pa + 0*Pb
+"""
+
+
 def test_orthogonal_pre_post_exits_two(capsys, tmp_path):
     path = tmp_path / "blocked.scen"
-    path.write_text(
-        "basis a b\n"
-        "state up = 1 a\n"
-        "state down = 1 b\n"
-        "pre up\n"
-        "post down\n"
-        "proj Pa = |a><a|\n"
-        "proj Pb = |b><b|\n"
-        "obs O = 1*Pa + 0*Pb\n"
-    )
+    path.write_text(_BLOCKED)
     code, out, err = run_cli(capsys, "weakvalue", str(path), "--obs", "O")
     assert code == 2
     assert out == ""
@@ -307,6 +312,68 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "wv.re = -1" in proc.stdout
+
+
+def _run_module(*argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "prepost", *argv], text=True, **kwargs)
+
+
+def test_module_exit_matches_in_process_main(capsys, tmp_path):
+    # the process flushes and ends with os._exit once main returns, so it must
+    # print and exit exactly as main(argv) prints and returns in-process
+    broken, blocked = tmp_path / "broken.scn", tmp_path / "blocked.scn"
+    broken.write_text("basis a b\nstate x = 1 a +\n")
+    blocked.write_text(_BLOCKED)
+    table = [
+        (0, ("weakvalue", "builtin:three-box", "--obs", "C")),
+        (0, ("consistency", "builtin:hardy", "--obs", "N1")),
+        (0, ("abl", "builtin:three-box", "--obs", "C", "--outcome", "1")),
+        (0, ("weight", "builtin:hardy", "--obs", "N1")),
+        (0, SIMULATE),
+        (0, ("verify", "builtin:hardy")),
+        (1, ("weakvalue", "builtin:three-box", "--obs", "Q")),
+        (1, ("weakvalue", str(broken), "--obs", "O")),
+        (1, SIMULATE + ("--delta", "1e-300")),
+        (2, ("weakvalue", str(blocked), "--obs", "O")),
+    ]
+    for code, argv in table:
+        proc = _run_module(*argv, capture_output=True)
+        assert proc.returncode == code, (argv, proc.stderr)
+        assert run_cli(capsys, *argv) == (code, proc.stdout, proc.stderr), argv
+
+
+def test_module_writes_the_library_csvs(capsys, tmp_path):
+    argv = ("simulate", "builtin:hardy", "--obs", "N1", "--delta", "0.5", "--n", "5000",
+            "--seed", "11")
+
+    def outputs(who):
+        return ("--samples-out", str(tmp_path / f"{who}-samples.csv"),
+                "--density-out", str(tmp_path / f"{who}-density.csv"))
+
+    proc = _run_module(*argv, *outputs("process"), capture_output=True)
+    assert run_cli(capsys, *argv, *outputs("main")) == (0, proc.stdout, proc.stderr)
+    for kind in ("samples", "density"):
+        written = (tmp_path / f"process-{kind}.csv").read_bytes()
+        assert written == (tmp_path / f"main-{kind}.csv").read_bytes(), kind
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_gives_one_error_record(unbuffered):
+    # as under `scencli ... | head` once head has gone: buffered, the write
+    # fails only when the output is flushed after main returns
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_module("verify", "builtin:hardy", stdout=write_end,
+                           stderr=subprocess.PIPE, env=env)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error kind=BrokenPipeError "), lines
 
 
 @pytest.mark.parametrize(
@@ -416,11 +483,13 @@ def test_overflowing_amplitude_is_a_parse_error(capsys, tmp_path, decl, col):
     assert err.startswith("error kind=ParseError line=7 col=9 msg=")
 
 
+@pytest.mark.filterwarnings("error")
 def test_normalized_state_at_any_scale_gives_the_unit_scale_weak_value(capsys, tmp_path):
-    # the squares of 1e200 overflow and those of 1e-200 underflow
+    # the squares of 1e200 overflow and those of 1e-200 underflow; the norm of
+    # 1.5e308 overflows itself, and that of 5e-324 is subnormal
     path = tmp_path / "scaled.scn"
     weak_values = []
-    for s in ("1", "1e200", "1e-200"):
+    for s in ("1", "1e200", "1e-200", "1.5e308", "5e-324"):
         path.write_text(f"basis a b c\nstate psi normalize = {s} a + {s} b + {s} c\n"
                         f"state phi normalize = {s} a + {s} b - {s} c\npre psi\npost phi\n"
                         "proj PC = |c><c|\nproj PCc = span(a, b)\nobs C = 1*PC + 0*PCc\n")
@@ -428,7 +497,34 @@ def test_normalized_state_at_any_scale_gives_the_unit_scale_weak_value(capsys, t
         assert (code, err) == (0, ""), s
         weak_values.append({k: v for k, v in kv(out).items() if k.startswith("wv.")})
     assert weak_values[0] == {"wv.class": "STWV", "wv.im": "0", "wv.re": "-1"}
-    assert weak_values[1] == weak_values[0] and weak_values[2] == weak_values[0]
+    assert all(wv == weak_values[0] for wv in weak_values[1:])
+
+
+#: The README three-box file with the observable M = a*PA + 2a*PAc, whose weak
+#: value is exactly the eigenvalue a, and S at a = 1e-9.
+_SCALED_THREE_BOX = """\
+basis a b c
+state psi = (1/sqrt(3)) a + (1/sqrt(3)) b + (1/sqrt(3)) c
+state phi = (1/sqrt(3)) a + (1/sqrt(3)) b - (1/sqrt(3)) c
+pre psi
+post phi
+proj PA = |a><a|
+proj PAc = span(b, c)
+obs M = {a:g}*PA + {b:g}*PAc
+obs S = 0.000000001*PA + 0.000000002*PAc
+"""
+
+
+def test_weak_value_class_does_not_depend_on_the_observable_scale(capsys, tmp_path):
+    path = tmp_path / "scaled.scn"
+    for a in (1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12):
+        path.write_text(_SCALED_THREE_BOX.format(a=a, b=2 * a))
+        for name, value in (("M", a), ("S", 1e-9)):
+            code, out, err = run_cli(capsys, "weakvalue", str(path), "--obs", name)
+            assert (code, err) == (0, ""), (a, name)
+            d = kv(out)
+            assert d["wv.class"] == "SWV", (a, name, d["wv.re"])
+            assert float(d["wv.re"]) == pytest.approx(value, rel=1e-12)
 
 
 #: psi = a + 1e-7 b against a post-selection phi at a small overlap.

@@ -41,6 +41,19 @@ def test_vector_arithmetic_keeps_labels():
     assert (u / 2).labels == ("x", "y")
 
 
+@pytest.mark.filterwarnings("error")
+def test_unit_divides_out_any_finite_norm(rng):
+    # a normal norm is divided out directly, so such vectors keep their bits
+    v = random_vector(rng, 5)
+    assert np.array_equal(v.unit().amps, (v / v.norm()).amps)
+    # an overflowing or subnormal norm gives the unit vector of the scale-1 amplitudes
+    ones = CVec(np.array([1.0, 1.0j, -1.0]), ("a", "b", "c"))
+    for scale in (1.5e308, 5e-324, 1e-320):
+        scaled = CVec(ones.amps * scale, ones.labels)
+        assert np.array_equal(scaled.unit().amps, ones.unit().amps), scale
+        assert scaled.unit().labels == ones.labels
+
+
 def test_mismatched_bases_are_rejected():
     u = CVec(np.array([1.0, 2.0]), ("x", "y"))
     w = CVec(np.array([1.0, 2.0]), ("x", "z"))

@@ -450,6 +450,23 @@ def test_samples_csv_needs_kept_samples(tmp_path):
     assert not path.exists()
 
 
+def test_sample_joins_its_workers(monkeypatch):
+    # scencli ends its process with os._exit once a command returns, which
+    # would cut a worker that is still alive short
+    _report_cores(monkeypatch, 4)
+    real_fill, names = pointer_module._fill_chunk, set()
+
+    def traced_fill(*args):
+        names.add(threading.current_thread().name)
+        return real_fill(*args)
+
+    monkeypatch.setattr(pointer_module, "_fill_chunk", traced_fill)
+    threads_before = threading.active_count()
+    sample(_three_box_density(1.0), 4 * _CHUNK, seed=3, keep_samples=False)
+    assert len(names) == 4
+    assert threading.active_count() == threads_before
+
+
 @pytest.mark.parametrize("where", ["caller", "worker"])
 def test_sample_raises_a_chunk_failure(monkeypatch, where):
     _report_cores(monkeypatch, 4)

@@ -145,6 +145,28 @@ def test_observable_validates_projector_data():
             assert Observable(mat, lams, (p, p.complement())).eigenvalues == lams
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e6, 1e12])
+def test_spectrum_tolerances_scale_with_the_spectrum(rng, scale):
+    # wv(aA) = a wv(A) and eigh's error is relative to the norm, so scaling an
+    # observable changes no class, no merge and no outcome match
+    lams = (scale, 2 * scale)
+    two_ulps_up = np.nextafter(np.nextafter(scale, np.inf), np.inf)
+    assert classify(two_ulps_up, lams) is WeakValueClass.SWV
+    assert classify(scale * (1 + 1e-6), lams) is WeakValueClass.UWV
+    assert classify(scale * (1.5 + 1e-6j), lams) is WeakValueClass.STWV
+    p = Projector.on_labels(("a", "b"), ("a",))
+    obs = Observable(CMat(np.diag(lams), ("a", "b")), lams, (p, p.complement()))
+    assert obs.projector_for(scale * (1 + DEGENERACY_TOL / 4)) is p
+    close = (scale, scale * (1 + DEGENERACY_TOL / 4))
+    with pytest.raises(ValueError, match="repeats eigenvalue"):
+        Observable(CMat(np.diag(close), ("a", "b")), close, (p, p.complement()))
+    u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    for gap, ranks in ((DEGENERACY_TOL / 10, (1, 2)), (DEGENERACY_TOL * 10, (1, 1, 1))):
+        m = (u * (scale * np.array([0.0, 1.0, 1.0 + gap]))) @ u.conj().T
+        obs = spectral_decompose(CMat((m + m.conj().T) / 2.0))
+        assert tuple(p.rank for p in obs.projectors) == ranks
+
+
 def test_as_observable_on_projectors():
     p = Projector.on_labels(("a", "b", "c"), ("a",))
     obs = as_observable(p)
