@@ -313,8 +313,9 @@ def run():
     """Entry point of `python -m prepost` and `scencli`: run `main()`, flush, `os._exit`.
 
     Interpreter teardown (module cleanup, final collections) takes tens of
-    milliseconds and writes nothing here: `pointer.sample` joins its threads,
-    the CSV writers close their files, and prepost registers no atexit hook.
+    milliseconds and writes nothing here: `pointer.sample` and the CSV writers
+    wait for their worker processes, the writers close their files, and
+    prepost registers no atexit hook.
     A stdout that cannot be flushed (a pipe whose reader has gone) gives one
     error record and exit 1, as unbuffered output does.  An exception that
     escapes `main()` ends the process the usual way.

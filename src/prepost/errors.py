@@ -65,7 +65,7 @@ class PointerRangeError(PrepostError, ValueError):
 
 
 class ScenarioFixtureError(PrepostError):
-    """A scenario's stored expected values failed recomputation at load."""
+    """A scenario's stored expectation names an unknown observable or kind."""
 
 
 class ParseError(PositionedError):

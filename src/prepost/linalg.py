@@ -37,8 +37,8 @@ DEGENERACY_TOL = 1e-8
 #: A weak value within this of an eigenvalue is sharp (SWV); taken times the spectrum's
 #: largest |eigenvalue|.
 SHARP_TOL = 1e-10
-#: An imaginary part at or below this is zero (functionals, file eigenvalues; a weak value's
-#: is compared with this times the spectrum's largest |eigenvalue|).
+#: An imaginary part at or below this is zero (functionals; a weak value's or a file
+#: eigenvalue's is compared with this times the spectrum's largest |eigenvalue|).
 REAL_TOL = 1e-10
 #: A family is consistent when r = 2|a||s-a| / (|a|^2 + |s-a|^2) is at most this, with
 #: a = <f|E|d> and s = <f|d>: r is scale-free and vanishes when the weak value of E is 0 or 1.

@@ -15,11 +15,14 @@ moments and masses have closed forms.  Samples come from a table over c_i +- 10 
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
-import threading
-from typing import NamedTuple, Optional, Sequence
+import pickle
+import struct
+import sys
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -46,6 +49,10 @@ _GUIDE = 2**16
 #: their pages to the OS after each batch and faulted them in again (350
 #: page faults a batch), and the write took 25% longer.
 _WRITE_ROWS = 2**12
+
+#: Bytes a worker process's pipe may hold, where the OS lets it be raised
+#: (Linux F_SETPIPE_SZ), so a child can run a few CSV batches ahead of the caller.
+_PIPE_BYTES = 2**20
 
 #: Columns of one float in a CSV row matrix: sign, 16 integer digits, the
 #: point and 20 fraction digits, which spans repr's fixed notation from
@@ -223,6 +230,112 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
+#: Each item a worker process sends starts with its length in bytes, as an
+#: 8-byte little-endian integer; a negative length -m announces m bytes of
+#: the pickled exception that stopped the worker.
+_LENGTH = struct.Struct("<q")
+
+
+@contextlib.contextmanager
+def _in_workers(
+    count: int,
+    work: Callable[[int, bool], Sequence],
+    into: Optional[Callable[[int], Sequence]] = None,
+) -> Iterator[Iterator[Sequence]]:
+    """Run work(i, in_caller) for i in range(count) on W workers; yield the results in order.
+
+    work returns an item's buffers.  W = min(usable cores, count), or 1
+    where os.fork is missing or another Python thread runs (a forked child
+    could deadlock on a lock that thread holds).  Item i runs in worker i mod
+    W.  Worker 0 is the caller, which runs its items as they are consumed.
+    Workers 1..W-1 are forked on entry, before the caller opens anything;
+    each sends its items, one at a time, through a pipe of its own and ends
+    with os._exit.  The caller reads a child's item into the buffers into(i)
+    returns, or into one new bytearray, and raises a child's exception when
+    it reaches that item.  On leaving, every pipe is closed before any child
+    is waited for, so a child blocked on a full pipe stops and none outlives
+    the call.
+    """
+    workers = min(_usable_cores(), count)
+    threading = sys.modules.get("threading")  # no Python thread runs before it is loaded
+    if not hasattr(os, "fork") or (threading is not None and threading.active_count() > 1):
+        workers = min(workers, 1)
+    pipes, pids = [], []
+
+    def results() -> Iterator[Sequence]:
+        for i in range(count):
+            if i % workers == 0:
+                yield work(i, True)
+                continue
+            pipe = pipes[i % workers - 1]
+            length = _LENGTH.unpack(_read_into(pipe, bytearray(_LENGTH.size)))[0]
+            if length < 0:
+                raise pickle.loads(_read_into(pipe, bytearray(-length)))
+            buffers = (bytearray(length),) if into is None else into(i)
+            if sum(memoryview(b).nbytes for b in buffers) != length:
+                raise RuntimeError(f"item {i}: {length} bytes sent for buffers of another size")
+            yield [_read_into(pipe, b) for b in buffers]
+
+    try:
+        for k in range(1, workers):
+            import fcntl  # POSIX, as os.fork is
+
+            r, w = os.pipe()
+            pipes.append(open(r, "rb", buffering=0))
+            with contextlib.suppress(AttributeError, OSError):  # Linux, up to its pipe limit
+                fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            with open(w, "wb", buffering=0) as end:
+                pid = os.fork()
+                if pid == 0:
+                    for pipe in pipes:
+                        pipe.close()
+                    _serve(end, range(k, count, workers), work)
+                pids.append(pid)
+        yield results()
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.waitpid(pid, 0)
+
+
+def _serve(end, items: range, work: Callable[[int, bool], Sequence]):
+    """A child's loop: send each item's length and buffers through end, or the
+    exception that stopped it.  Never returns."""
+    try:
+        for i in items:
+            buffers = [memoryview(b).cast("B") for b in work(i, False)]
+            _send(end, _LENGTH.pack(sum(b.nbytes for b in buffers)), *buffers)
+        os._exit(0)
+    except BaseException as exc:  # ends here: a child must never unwind into the caller's frames
+        try:
+            text = pickle.dumps(exc)
+        except Exception:
+            text = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with contextlib.suppress(OSError):  # the caller has gone, and raises its own error
+            _send(end, _LENGTH.pack(-len(text)), text)
+    finally:
+        os._exit(1)
+
+
+def _send(end, *buffers):
+    for buffer in buffers:
+        view = memoryview(buffer)
+        while view:
+            view = view[end.write(view):]
+
+
+def _read_into(pipe, buffer):
+    """Fill buffer from pipe, and return it."""
+    view = memoryview(buffer).cast("B")
+    while view:
+        got = pipe.readinto(view)
+        if not got:
+            raise ChildProcessError("a worker process ended before sending its items")
+        view = view[got:]
+    return buffer
+
+
 class _InverseCdf:
     """np.interp(u, cdf, xs) for u in [0, 1), bit for bit, in O(1) per draw.
 
@@ -299,21 +412,21 @@ def _merge(a: tuple, b: tuple) -> tuple:
 
 
 def _fill_chunk(
-    draws: Optional[np.ndarray], lo: int, hi: int, seed: int, inverse: _InverseCdf,
+    out: Optional[np.ndarray], lo: int, hi: int, seed: int, inverse: _InverseCdf,
     buf: _Buffers,
 ) -> tuple:
     """Draw lo..hi-1 of the Philox stream; return their (count, mean, M2).
 
-    The draws are inverted block by block, into draws[lo:hi] when the
+    The draws are inverted block by block, into out (hi - lo long) when the
     samples are kept and in place over the block's uniforms otherwise, and
     the blocks' moments are merged in order while each block is in cache.
     """
     uniforms = np.random.Generator(np.random.Philox(key=seed).advance(lo // 4))
     moments = []
-    for start in range(lo, hi, _BLOCK):
-        m = min(_BLOCK, hi - start)
+    for start in range(0, hi - lo, _BLOCK):
+        m = min(_BLOCK, hi - lo - start)
         u = uniforms.random(m, out=buf.u[:m])
-        block = u if draws is None else draws[start : start + m]
+        block = u if out is None else out[start : start + m]
         inverse(u, block, buf)
         mean = block.mean()
         dev = np.subtract(block, mean, out=buf.f[:m])
@@ -329,11 +442,13 @@ def sample(
 
     The uniforms are one Philox stream keyed by seed.  Chunks of `_CHUNK`
     draws jump to their own offset in that stream, so they can be filled
-    on every usable core and the result is the same as a single pass.  Each
-    chunk also returns its count, mean and M2, which are merged in chunk
-    order, so the mean and variance do not depend on the core count either.
-    With keep_samples=False no n-long array is held and `samples` is None;
-    the mean and variance are the same bits either way.
+    by one worker process per usable core (`_in_workers`) and the result is
+    the same as a single pass.  Each chunk also returns its count, mean and
+    M2, which are merged in chunk order, so the mean and variance do not
+    depend on the core count either.  The caller fills its chunks of the
+    draws in place and reads the other workers' chunks into theirs.  With
+    keep_samples=False no n-long array is held and `samples` is None; the
+    mean and variance are the same bits either way.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
@@ -342,32 +457,20 @@ def sample(
     cdf /= cdf[-1]
     inverse = _InverseCdf(cdf, xs)
     draws = np.empty(n) if keep_samples else None
-    starts = range(0, n, _CHUNK)
-    moments: list = [None] * len(starts)
-    errors: list[BaseException] = []
+    buf = _Buffers(min(_BLOCK, n))  # each forked worker writes its own copy
 
-    def fill(share: range):
-        try:
-            buf = _Buffers(min(_BLOCK, n))
-            for lo in share:
-                moments[lo // _CHUNK] = _fill_chunk(
-                    draws, lo, min(lo + _CHUNK, n), seed, inverse, buf
-                )
-        except BaseException as exc:  # re-raised by the caller after the join
-            errors.append(exc)
+    def chunk(i: int, in_caller: bool) -> tuple:
+        lo, hi = i * _CHUNK, min((i + 1) * _CHUNK, n)
+        out = None if draws is None else draws[lo:hi] if in_caller else np.empty(hi - lo)
+        moments = np.array(_fill_chunk(out, lo, hi, seed, inverse, buf))
+        return (moments,) if out is None else (moments, out)
 
-    workers = min(_usable_cores(), len(starts))
-    threads = [
-        threading.Thread(target=fill, args=(starts[k::workers],)) for k in range(1, workers)
-    ]
-    for thread in threads:
-        thread.start()
-    fill(starts[0::workers])
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    count, mean, m2 = functools.reduce(_merge, moments)
+    def into(i: int) -> tuple:
+        moments = np.empty(3)
+        return (moments,) if draws is None else (moments, draws[i * _CHUNK : (i + 1) * _CHUNK])
+
+    with _in_workers(-(-n // _CHUNK), chunk, into) as chunks:
+        count, mean, m2 = functools.reduce(_merge, (frames[0].tolist() for frames in chunks))
     return PointerEnsemble(
         samples=draws,
         mean=float(mean),
@@ -586,20 +689,25 @@ def _write_csv(path: str, header: str, values: np.ndarray, first_cols: int, put_
 
     Lines end in csv.writer's default \\r\\n.  Each batch of `_WRITE_ROWS`
     rows is built in one reused uint8 matrix, whose NUL bytes are padding,
-    and written without them.
+    and written without them.  The batches are formatted by `_in_workers`,
+    whose processes fork before the file is opened.
     """
     n = len(values)
     rows = np.zeros((min(n, _WRITE_ROWS), first_cols + 1 + _FLOAT_COLS + 2), np.uint8)
     rows[:, first_cols] = ord(",")
     rows[:, -2:] = (ord("\r"), ord("\n"))
-    with open(path, "wb") as handle:
+
+    def batch(i: int, in_caller: bool) -> tuple:
+        lo, hi = i * _WRITE_ROWS, min((i + 1) * _WRITE_ROWS, n)
+        text = rows[: hi - lo]
+        put_first(lo, hi, text[:, :first_cols])
+        _put_repr(values[lo:hi], text[:, first_cols + 1 : -2])
+        return (text[text != 0],)
+
+    with _in_workers(-(-n // _WRITE_ROWS), batch) as batches, open(path, "wb") as handle:
         handle.write(header.encode() + b"\r\n")
-        for lo in range(0, n, _WRITE_ROWS):
-            hi = min(lo + _WRITE_ROWS, n)
-            batch = rows[: hi - lo]
-            put_first(lo, hi, batch[:, :first_cols])
-            _put_repr(values[lo:hi], batch[:, first_cols + 1 : -2])
-            handle.write(batch[batch != 0])
+        for (text,) in batches:
+            handle.write(text)
 
 
 def write_density_csv(density: Density, path: str):

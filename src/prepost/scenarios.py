@@ -2,9 +2,9 @@
 
 Each scenario packages a basis, pre/post states, named projector
 observables, and the quantities they are known to produce (weak values,
-ABL probabilities, conditional weights, consistency functionals).  Every
-stored value is recomputed through the library at construction time; a
-scenario that fails its own fixtures refuses to load.
+ABL probabilities, conditional weights, consistency functionals).
+`Scenario.check_all`, which `scencli verify` runs, recomputes every stored
+value through the library; loading a scenario does not.
 
 `three_box()` is the three-box paradox: a particle pre-selected in an
 equal superposition over boxes a, b, c and post-selected in a state that
@@ -83,10 +83,6 @@ class Scenario:
                     f"{name}: expectation {key} names unknown observable "
                     f"{exp.observable}"
                 )
-        failures = [r for r in self.check_all() if not r.passed]
-        if failures:
-            lines = "; ".join(f"{r.name}: {r.detail}" for r in failures)
-            raise ScenarioFixtureError(f"{self.name} fixtures failed: {lines}")
 
     def _eigenvalue_one_projector(self, obs_name: str) -> Projector:
         try:
@@ -104,7 +100,7 @@ class Scenario:
         return consistency(self.family_for(obs_name))
 
     def check_all(self) -> list[CheckResult]:
-        """Recompute every expected entry; used at load time and by `verify`."""
+        """Recompute every expected entry; `verify` reports each result."""
         results = []
         for key, exp in self.expected.items():
             got, extra_ok, detail = self._recompute(exp)

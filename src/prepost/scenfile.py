@@ -358,9 +358,11 @@ class _Parser:
             self.declare(name, "observable")
             cur.expect_sym("=")
             terms = _parse_sum(cur, _parse_obs_term)
+            # REAL_TOL on the line's scale, as quantum._scaled takes it for a spectrum
+            real_tol = REAL_TOL * max(abs(coeff) for coeff, _ in terms)
             decl_terms = []
             for coeff, tok in terms:
-                if abs(coeff.imag) > REAL_TOL:
+                if abs(coeff.imag) > real_tol:
                     raise ParseError(
                         f"eigenvalue for {tok.text!r} must be real", tok.line, tok.col
                     )

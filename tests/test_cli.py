@@ -232,6 +232,23 @@ def test_verify_file_without_fixtures(capsys, tmp_path):
     assert kv(out)["checks.total"] == "0"
 
 
+def test_verify_reports_a_failing_fixture(capsys, monkeypatch):
+    # |wv| equals the weight |wv|^2 = 1 of every builtin fixture, so the wrong
+    # weight here is the signed weak value: weight_C reads -1 against 1
+    def signed_weight(e, d, f):
+        f_d = f.q.conj().T @ d.q
+        return ((f.q.conj().T @ e.q @ (e.q.conj().T @ d.q)) / f_d).item().real
+
+    monkeypatch.setattr(scenarios, "conditional_weight", signed_weight)
+    code, out, err = run_cli(capsys, "verify", "builtin:three-box")
+    assert code == 2
+    d = kv(out)
+    assert {k for k, v in d.items() if k.startswith("check.") and v != "pass"} == {"check.weight_C"}
+    assert d["check.weight_C"] == "fail"
+    assert (d["checks.failed"], d["checks.total"]) == ("1", "7")
+    assert err == 'error kind=FixtureMismatch msg="1 of 7 checks failed"\n'
+
+
 def test_weakvalue_from_serialized_builtin_file(capsys, tmp_path):
     doc = scenfile.doc_from_scenario(scenarios.three_box())
     path = tmp_path / "boxes.scen"

@@ -1,7 +1,6 @@
 import csv
 import math
 import os
-import sys
 import threading
 import tracemalloc
 from fractions import Fraction
@@ -376,42 +375,59 @@ def test_guide_table_inverse_equals_interp(monkeypatch, n, delta):
     assert searched[-1] > 0  # the walk handed draws to the binary search
 
 
-def test_sample_does_not_depend_on_core_count(monkeypatch):
-    cfg = PointerConfig(delta=10.0)
-    density = pointer_density(_three_box_amps(cfg)[0], cfg)
-    n = 3 * _CHUNK + 5  # four chunks
-    real_fill = pointer_module._fill_chunk
-    names = set()
+def _record_workers(monkeypatch, tmp_path, fail_in=None):
+    """Patch `_fill_chunk` to append the pid of each process that runs it to a
+    file, and to raise in the caller or in a worker when fail_in says so.
+    Returns a function that gives the pids recorded since its last call."""
+    log, caller, real_fill = tmp_path / "pids", os.getpid(), pointer_module._fill_chunk
 
     def traced_fill(*args):
-        names.add(threading.current_thread().name)
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()}\n")
+        if fail_in is not None and (os.getpid() == caller) == (fail_in == "caller"):
+            raise RuntimeError("injected chunk failure")
         return real_fill(*args)
 
     monkeypatch.setattr(pointer_module, "_fill_chunk", traced_fill)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        runs = {}
-        for cores in (1, 4):
-            _report_cores(monkeypatch, cores)
-            names.clear()
-            runs[cores] = sample(density, n, seed=5)
-            assert len(names) == cores
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        names.clear()
-        runs[3] = sample(density, n, seed=5)
-        assert len(names) == 3
-        _report_cores(monkeypatch, 64)
-        names.clear()
-        sample(density, 5, seed=5)
-        assert len(names) == 1  # never more workers than chunks
-    finally:
-        sys.setswitchinterval(interval)
+
+    def recorded():
+        pids = set(map(int, log.read_text().split())) if log.exists() else set()
+        log.unlink(missing_ok=True)
+        return pids
+
+    return recorded
+
+
+def _assert_no_child_left():
+    # scencli ends its process with os._exit once a command returns, which
+    # would leave a worker that is still running behind
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_sample_does_not_depend_on_core_count(monkeypatch, tmp_path):
+    cfg = PointerConfig(delta=10.0)
+    density = pointer_density(_three_box_amps(cfg)[0], cfg)
+    n = 3 * _CHUNK + 5  # four chunks
+    recorded = _record_workers(monkeypatch, tmp_path)
+    runs = {}
+    for cores in (1, 4):
+        _report_cores(monkeypatch, cores)
+        runs[cores] = sample(density, n, seed=5)
+        pids = recorded()
+        assert len(pids) == cores and os.getpid() in pids
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    runs[3] = sample(density, n, seed=5)
+    assert len(recorded()) == 3
+    _report_cores(monkeypatch, 64)
+    sample(density, 5, seed=5)
+    assert recorded() == {os.getpid()}  # never more workers than chunks
     for ens in (runs[4], runs[3]):
         assert np.array_equal(ens.samples, runs[1].samples)
         assert ens.mean == runs[1].mean
         assert ens.variance == runs[1].variance
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("cores", [1, 4])
@@ -450,41 +466,91 @@ def test_samples_csv_needs_kept_samples(tmp_path):
     assert not path.exists()
 
 
-def test_sample_joins_its_workers(monkeypatch):
-    # scencli ends its process with os._exit once a command returns, which
-    # would cut a worker that is still alive short
+def test_sample_joins_its_workers(monkeypatch, tmp_path):
     _report_cores(monkeypatch, 4)
-    real_fill, names = pointer_module._fill_chunk, set()
-
-    def traced_fill(*args):
-        names.add(threading.current_thread().name)
-        return real_fill(*args)
-
-    monkeypatch.setattr(pointer_module, "_fill_chunk", traced_fill)
-    threads_before = threading.active_count()
+    recorded = _record_workers(monkeypatch, tmp_path)
     sample(_three_box_density(1.0), 4 * _CHUNK, seed=3, keep_samples=False)
-    assert len(names) == 4
-    assert threading.active_count() == threads_before
+    assert len(recorded()) == 4
+    _assert_no_child_left()
 
 
 @pytest.mark.parametrize("where", ["caller", "worker"])
-def test_sample_raises_a_chunk_failure(monkeypatch, where):
+def test_sample_raises_a_chunk_failure(monkeypatch, tmp_path, where):
     _report_cores(monkeypatch, 4)
     cfg = PointerConfig(delta=1.0)
     density = pointer_density(_three_box_amps(cfg)[0], cfg)
-    real_fill = pointer_module._fill_chunk
-
-    def failing_fill(*args):
-        in_caller = threading.current_thread() is threading.main_thread()
-        if in_caller == (where == "caller"):
-            raise RuntimeError("injected chunk failure")
-        return real_fill(*args)
-
-    monkeypatch.setattr(pointer_module, "_fill_chunk", failing_fill)
-    threads_before = threading.active_count()
-    with pytest.raises(RuntimeError, match="injected chunk failure"):
+    _record_workers(monkeypatch, tmp_path, fail_in=where)
+    with pytest.raises(RuntimeError, match="^injected chunk failure$"):
         sample(density, 4 * _CHUNK, seed=3)
-    assert threading.active_count() == threads_before
+    _assert_no_child_left()
+
+
+def _count_forks(monkeypatch) -> list:
+    forks, real_fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return forks
+
+
+def _csv_case(rows):
+    """A table and an ensemble whose CSV batches mix formatted and fallback values."""
+    mixed = [-0.0, 1 / 3, -2.5e-17, 4.0, 1e22, -7.25, 5e-324, 9.99e-5, 2.0**53, 123.456]
+    density = SimpleNamespace(xs=np.resize(mixed[::-1], rows), ps=np.resize(mixed, rows))
+    return PointerEnsemble(np.resize(mixed[3:] + mixed[:3], rows), 0.0, 0.0, density, 1.0)
+
+
+def _csv_bytes(ens, tmp_path) -> tuple:
+    write_density_csv(ens.density, str(tmp_path / "density.csv"))
+    write_samples_csv(ens, str(tmp_path / "samples.csv"))
+    return (tmp_path / "density.csv").read_bytes(), (tmp_path / "samples.csv").read_bytes()
+
+
+@pytest.mark.parametrize("rows", [1, _WRITE_ROWS, 2 * _WRITE_ROWS + 3])
+def test_csv_bytes_do_not_depend_on_core_count(monkeypatch, tmp_path, rows):
+    ens = _csv_case(rows)
+    forks = _count_forks(monkeypatch)
+    _report_cores(monkeypatch, 1)
+    expected = _csv_bytes(ens, tmp_path)
+    batches = -(-rows // _WRITE_ROWS)
+    for cores in (2, 3, 4):
+        _report_cores(monkeypatch, cores)
+        forks.clear()
+        assert _csv_bytes(ens, tmp_path) == expected, cores
+        # one worker process per core but the caller's, and one per batch at most
+        assert len(forks) == 2 * (min(cores, batches) - 1)
+        _assert_no_child_left()
+    assert expected[1].count(b"\r\n") == rows + 1
+
+
+def test_no_worker_is_forked_beside_another_thread_or_without_fork(monkeypatch, tmp_path):
+    _report_cores(monkeypatch, 4)
+    density, ens = _three_box_density(1.0), _csv_case(2 * _WRITE_ROWS + 3)
+
+    def outputs():
+        drawn = sample(density, 3 * _CHUNK + 5, seed=7)
+        return drawn.samples.tobytes(), drawn.mean, drawn.variance, _csv_bytes(ens, tmp_path)
+
+    forks = _count_forks(monkeypatch)
+    expected = outputs()
+    assert len(forks) == 3 + 2 * 2
+    forks.clear()
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert outputs() == expected
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+    assert forks == []
+    monkeypatch.delattr(os, "fork")
+    assert outputs() == expected
+    _assert_no_child_left()
 
 
 def test_sample_mean_tracks_exact_mean():

@@ -243,6 +243,27 @@ def test_complex_eigenvalue_is_rejected():
         parse(text)
 
 
+_SMALL_SPECTRUM = "basis a b\nstate psi = 1 a\npre psi\npost psi\nproj P = |a><a|\nproj Q = |b><b|\n"
+
+
+def test_complex_eigenvalue_is_rejected_on_the_spectrum_scale():
+    # Q's imaginary part is 1% of the spectrum, though below REAL_TOL
+    text = _SMALL_SPECTRUM + "obs T = 0.000000000001*P + 0.00000000000001i*Q\n"
+    with pytest.raises(ParseError, match="eigenvalue for 'Q' must be real") as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (7, text.splitlines()[6].index("Q") + 1)
+    # 1e-11i next to eigenvalue 1 lies within REAL_TOL of the spectrum
+    doc = parse(_SMALL_SPECTRUM + "obs O = 0.00000000001i*P + 1*Q\n")
+    assert doc.obs[0].terms == ((0.0, "P"), (1.0, "Q"))
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_real_spectrum_parses_at_every_scale(scale):
+    text = _SMALL_SPECTRUM + f"obs O = {scale!r}*P + {-2 * scale!r}*Q\n"
+    sc = to_scenario(parse(text))
+    assert sc.observables["O"].eigenvalues == (-2 * scale, scale)
+
+
 def test_projector_onto_declared_state():
     text = """
 basis a b
