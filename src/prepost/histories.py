@@ -136,25 +136,23 @@ def abl_probability(obs: Observable, pre: State, post: State, outcome: float) ->
     """Probability of `outcome` in a sharp measurement of obs between pre and post.
 
     Degenerate-spectrum form: |<post|P_outcome|pre>|^2 over the sum of the
-    same quantity across all spectral projectors.
+    same quantity across all spectral projectors, all read from one vector
+    of amplitudes (`Observable.amplitudes`).
     """
     try:
-        chosen = obs.projector_for(outcome)
+        chosen = obs.outcome_index(outcome)
     except KeyError:
         raise UnknownEigenvalue(
             f"{outcome!r} is not an eigenvalue of the observable"
         ) from None
-
-    def term(proj: Projector) -> float:
-        return abs(proj.amplitude(post.vec, pre.vec)) ** 2
-
-    denom = sum(term(proj) for proj in obs.projectors)
+    terms = np.abs(obs.amplitudes(post.vec, pre.vec)) ** 2
+    denom = float(terms.sum())
     # sqrt(denom) is the norm of the amplitudes <post|P_i|pre>, held to the amplitude scale.
     if math.sqrt(denom) <= ZERO_TOL:
         raise UndefinedABL(
             "every intermediate outcome is incompatible with this pre/post pair"
         )
-    return term(chosen) / denom
+    return float(terms[chosen]) / denom
 
 
 def abl_from_weak_values(wv: complex) -> float:

@@ -27,7 +27,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .errors import BasisMismatch, PointerRangeError, PostSelectionImpossible
-from .linalg import ZERO_RATE_TOL, ZERO_TOL, check_same_basis
+from .linalg import ZERO_RATE_TOL, ZERO_TOL
 from .quantum import Observable, State
 
 #: Nodes of a density table, and the half-width in deltas of its window around each centre.
@@ -101,15 +101,11 @@ def entangle(obs: Observable, pre: State, cfg: PointerConfig) -> Branches:
     center x0 + coupling * lambda.  Branches of norm at most ZERO_TOL are
     dropped, so an eigenstate input yields a single branch of norm 1.
     """
-    check_same_basis(obs.mat, pre.vec)
-    centers, components = [], []
-    for lam, proj in zip(obs.eigenvalues, obs.projectors):
-        component = proj.apply(pre.vec).amps
-        if np.linalg.norm(component) > ZERO_TOL:
-            centers.append(cfg.x0 + cfg.coupling * lam)
-            components.append(component)
-    return Branches(np.array(centers, dtype=float),
-                    np.array(components).reshape(-1, pre.dim), pre.labels)
+    # row k adds up the columns V_j (V_j^dagger pre) of eigenvalue k's block
+    components = np.add.reduceat(obs.v * obs.in_eigenbasis(pre.vec), obs.bounds[:-1], axis=1).T
+    keep = np.linalg.norm(components, axis=1) > ZERO_TOL
+    centers = cfg.x0 + cfg.coupling * np.array(obs.eigenvalues)[keep]
+    return Branches(centers, components[keep], pre.labels)
 
 
 def postselect(
@@ -349,7 +345,10 @@ class _InverseCdf:
 
     def __init__(self, cdf: np.ndarray, xs: np.ndarray):
         self.cdf, self.xs = cdf, xs
-        self.guide = np.searchsorted(cdf, np.arange(_GUIDE + 1) / _GUIDE, "right") - 1
+        # cdf[j] <= c / _GUIDE exactly when ceil(cdf[j] * _GUIDE) <= c, as _GUIDE is a
+        # power of two: so one count of the ceilings replaces a binary search per cell.
+        ceilings = np.ceil(cdf * _GUIDE).astype(np.intp)
+        self.guide = np.cumsum(np.bincount(ceilings, minlength=_GUIDE + 1)) - 1
         # Cells holding further nodes, where a draw may have to walk.
         self.walks = self.guide[1:] != self.guide[:-1]
         # Flat CDF runs give 0/0 and x/0 and tiny steps overflow; no draw

@@ -11,16 +11,19 @@ operator's eigenvalue set:
 
 from __future__ import annotations
 
+import itertools
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .errors import DimensionError, NormalizationError, NotHermitian, UndefinedWeakValue
+from .errors import (
+    BasisMismatch, DimensionError, NormalizationError, NotHermitian, UndefinedWeakValue,
+)
 from .linalg import (
     DEGENERACY_TOL, EQUAL_TOL, NORM_TOL, REAL_TOL, SHARP_TOL, ZERO_TOL,
-    CMat, CVec, apply, check_same_basis, index_labels, inner, label_index,
+    CMat, CVec, check_same_basis, index_labels, inner, label_index,
 )
 
 
@@ -168,23 +171,49 @@ def _scaled(tol: float, eigenvalues: Sequence[float]) -> float:
     return tol * float(np.max(np.abs(eigenvalues), initial=0.0))
 
 
-class Observable:
-    """Hermitian operator with its spectral decomposition.
+def _check_hermitian(mat: CMat) -> None:
+    defect = mat.hermiticity_defect()
+    if defect > EQUAL_TOL:
+        raise NotHermitian(f"observable matrix deviates from Hermitian by {defect:.3g}")
 
-    `eigenvalues` are the distinct eigenvalues in ascending order and
-    `projectors` the matching spectral projectors (degenerate eigenvalues
-    share one higher-rank projector, so no two lie within the spectrum's
-    DEGENERACY_TOL, see `_scaled`).
-    Side by side, the projectors' columns must form a unitary matrix.
+
+class Observable:
+    """Hermitian operator held as its spectral decomposition.
+
+    `eigenvalues` are the distinct eigenvalues in ascending order, no two
+    within the spectrum's DEGENERACY_TOL (see `_scaled`).  The read-only
+    unitary `v` holds the spectral projectors' orthonormal columns side by
+    side, in eigenvalue order: columns `bounds[k]:bounds[k + 1]` span the
+    eigenspace of `eigenvalues[k]`.  The `projectors` (views of `v`) and the
+    dense `mat`, V diag(lambda) V^dagger, are built when first read.
     """
 
     def __init__(
         self, mat: CMat, eigenvalues: tuple[float, ...], projectors: tuple[Projector, ...]
     ):
-        self.mat, self.eigenvalues, self.projectors = mat, eigenvalues, projectors
-        defect = mat.hermiticity_defect()
-        if defect > EQUAL_TOL:
-            raise NotHermitian(f"observable matrix deviates from Hermitian by {defect:.3g}")
+        """Observable from a Hermitian matrix and its spectral decomposition, which
+        must agree within EQUAL_TOL on the spectrum's scale; the projectors are kept."""
+        _check_hermitian(mat)
+        self._set_spectrum(eigenvalues, projectors)
+        check_same_basis(self, mat)
+        gap = float(np.max(np.abs(mat.entries - self.mat.entries)))
+        if gap > _scaled(EQUAL_TOL, self.eigenvalues):
+            raise ValueError(f"observable matrix differs from its spectral sum by {gap:.3g}")
+        self.projectors = tuple(projectors)
+
+    @classmethod
+    def from_projectors(
+        cls, eigenvalues: Sequence[float], projectors: Sequence[Projector]
+    ) -> "Observable":
+        """The observable sum_k eigenvalues[k] projectors[k], built without forming
+        its matrix; ValueError unless the pairs are a spectral decomposition."""
+        obs = object.__new__(cls)
+        obs._set_spectrum(eigenvalues, projectors)
+        return obs
+
+    def _set_spectrum(self, eigenvalues: Sequence[float], projectors: Sequence[Projector]):
+        """Check for one nonzero projector per ascending distinct eigenvalue, whose
+        columns form a unitary matrix, and hold those columns side by side."""
         if len(eigenvalues) != len(projectors):
             raise ValueError("eigenvalue list and projector list differ in length")
         merge = _scaled(DEGENERACY_TOL, eigenvalues)
@@ -193,28 +222,56 @@ class Observable:
                 raise ValueError("eigenvalues must be ascending")
             if hi - lo <= merge:
                 raise ValueError(f"spectrum repeats eigenvalue {lo:g}")
+        if len({p.labels for p in projectors}) > 1:
+            raise BasisMismatch("spectral projectors have mixed basis labels")
+        if not all(p.rank for p in projectors):
+            raise ValueError("a spectral projector has rank 0")
         v = np.hstack([p.q for p in projectors])
-        if v.shape[1] != self.dim:
+        if v.shape[1] != v.shape[0]:
             raise ValueError(
-                f"spectral projector ranks sum to {v.shape[1]}, not to the dimension {self.dim}"
+                f"spectral projector ranks sum to {v.shape[1]}, not to the dimension {v.shape[0]}"
             )
-        if np.max(np.abs(v.conj().T @ v - np.eye(self.dim))) > EQUAL_TOL:
+        if np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))) > EQUAL_TOL:
             raise ValueError("spectral projectors are not mutually orthogonal")
+        v.setflags(write=False)
+        self.eigenvalues, self.v, self.labels = tuple(eigenvalues), v, projectors[0].labels
+        self.bounds = (0, *itertools.accumulate(p.rank for p in projectors))
 
     @property
     def dim(self) -> int:
-        return self.mat.dim
+        return self.v.shape[0]
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return self.mat.labels
+    @cached_property
+    def projectors(self) -> tuple[Projector, ...]:
+        b = self.bounds
+        return tuple(Projector._of_checked(self.v[:, i:j], self.labels) for i, j in zip(b, b[1:]))
+
+    @cached_property
+    def mat(self) -> CMat:
+        lams = np.repeat(self.eigenvalues, np.diff(self.bounds))
+        return CMat((self.v * lams) @ self.v.conj().T, self.labels)
+
+    def in_eigenbasis(self, vec: CVec) -> np.ndarray:
+        """V^dagger vec: the amplitudes of vec along the columns of `v`."""
+        check_same_basis(self, vec)
+        return (self.v.T @ vec.amps.conj()).conj()  # conj(V^T conj(vec)), copying no n x n array
+
+    def amplitudes(self, bra: CVec, ket: CVec) -> np.ndarray:
+        """<bra|P_k|ket> for each eigenvalue k, in O(n^2) for the whole spectrum."""
+        terms = self.in_eigenbasis(bra).conj() * self.in_eigenbasis(ket)
+        return np.add.reduceat(terms, self.bounds[:-1])
+
+    def outcome_index(self, outcome: float) -> int:
+        """Position of the eigenvalue that matches outcome within the spectrum's
+        DEGENERACY_TOL; KeyError when none does."""
+        match = _scaled(DEGENERACY_TOL, self.eigenvalues)
+        for k, lam in enumerate(self.eigenvalues):
+            if abs(lam - outcome) <= match:
+                return k
+        raise KeyError(outcome)
 
     def projector_for(self, outcome: float) -> Projector:
-        match = _scaled(DEGENERACY_TOL, self.eigenvalues)
-        for lam, proj in zip(self.eigenvalues, self.projectors):
-            if abs(lam - outcome) <= match:
-                return proj
-        raise KeyError(outcome)
+        return self.projectors[self.outcome_index(outcome)]
 
 
 #: Operators accepted by the weak-value calculus.
@@ -229,16 +286,14 @@ def spectral_decompose(mat: CMat) -> Observable:
     with the expected multiplicities despite numerical jitter.  A
     non-Hermitian matrix raises NotHermitian.
     """
+    _check_hermitian(mat)
     w, v = np.linalg.eigh(mat.entries)
-    v.setflags(write=False)
     merge = _scaled(DEGENERACY_TOL, w)
     cuts = [0, *(np.flatnonzero(np.diff(w) > merge) + 1).tolist(), len(w)]
     means = np.add.reduceat(w, cuts[:-1]) / np.diff(cuts)
-    # Observable checks all of eigh's columns at once, so no block checks its own
-    projectors = tuple(
-        Projector._of_checked(v[:, a:b], mat.labels) for a, b in zip(cuts, cuts[1:])
-    )
-    return Observable(mat, tuple(means.tolist()), projectors)
+    # the Observable checks all of eigh's columns at once, so no block checks its own
+    projectors = [Projector._of_checked(v[:, a:b], mat.labels) for a, b in zip(cuts, cuts[1:])]
+    return Observable.from_projectors(means.tolist(), projectors)
 
 
 def as_observable(op: OperatorLike) -> Observable:
@@ -248,7 +303,7 @@ def as_observable(op: OperatorLike) -> Observable:
     if isinstance(op, Projector):
         eigenvalues = op.eigenvalue_set()
         projectors = tuple(op.complement() if lam == 0.0 else op for lam in eigenvalues)
-        return Observable(op.mat, eigenvalues, projectors)
+        return Observable.from_projectors(eigenvalues, projectors)
     raise TypeError(f"expected Observable or Projector, got {type(op).__name__}")
 
 
@@ -294,6 +349,8 @@ def weak_value(op: OperatorLike, pre: State, post: State) -> WeakValueReport:
     if isinstance(op, Projector):
         numerator, eigenvalues = op.amplitude(post.vec, pre.vec), op.eigenvalue_set()
     else:
-        numerator, eigenvalues = inner(post.vec, apply(op.mat, pre.vec)), op.eigenvalues
+        # sum_j lambda_j conj(y_j) x_j, with x and y the eigenbasis amplitudes of pre and post
+        x = op.in_eigenbasis(pre.vec) * np.repeat(op.eigenvalues, np.diff(op.bounds))
+        numerator, eigenvalues = complex(np.vdot(op.in_eigenbasis(post.vec), x)), op.eigenvalues
     value = numerator / overlap
     return WeakValueReport(value, classify(value, eigenvalues), overlap)

@@ -37,9 +37,9 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import NormalizationError, NotHermitian, ParseError
+from .errors import NormalizationError, ParseError
 from .linalg import (
-    DECLARED_NORM_TOL, EXACT_TOL, REAL_TOL, ZERO_TOL, CMat, CVec, label_index,
+    DECLARED_NORM_TOL, EXACT_TOL, REAL_TOL, ZERO_TOL, CVec, label_index,
 )
 from .quantum import Observable, Projector, State
 from .scenarios import Scenario
@@ -527,24 +527,16 @@ def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
 
     observables: dict[str, Observable] = {}
     for ob in doc.obs:
-        pairs = []
-        for lam, pname in ob.terms:
+        for _, pname in ob.terms:
             if pname not in projs:
                 raise ParseError(
                     f"unknown projector {pname!r} in observable {ob.name!r}",
                     doc.lines.get(ob.name),
                 )
-            pairs.append((lam, projs[pname]))
-        pairs.sort(key=lambda p: p[0])
-        # V diag(lambda) V^dagger, with V the projectors' columns side by side
-        v = np.hstack([p.q for _, p in pairs])
-        lams = np.concatenate([np.full(p.rank, lam) for lam, p in pairs])
-        mat = CMat((v * lams) @ v.conj().T, doc.basis)
         try:
-            observables[ob.name] = Observable(
-                mat, tuple(lam for lam, _ in pairs), tuple(p for _, p in pairs)
-            )
-        except (ValueError, NotHermitian) as exc:
+            lams, pnames = zip(*sorted(ob.terms, key=lambda t: t[0]))
+            observables[ob.name] = Observable.from_projectors(lams, [projs[p] for p in pnames])
+        except ValueError as exc:
             raise ParseError(
                 f"observable {ob.name!r} is not a spectral decomposition: {exc}",
                 doc.lines.get(ob.name),
@@ -601,8 +593,11 @@ def doc_from_scenario(sc: Scenario) -> ScenarioDoc:
     for oname, obs in sc.observables.items():
         terms = []
         for k, (lam, proj) in enumerate(zip(obs.eigenvalues, obs.projectors)):
-            ones = np.abs(np.diag(proj.mat.entries) - 1.0) <= EXACT_TOL
-            if np.max(np.abs(proj.mat.entries - np.diag(ones))) > EXACT_TOL:
+            # Q's squared row norms are the diagonal of QQ^dagger, and a projector
+            # whose diagonal holds only 0s and 1s is diagonal
+            rows = np.linalg.norm(proj.q, axis=1)
+            ones = np.abs(rows - 1.0) <= EXACT_TOL
+            if np.max(rows[~ones], initial=0.0) > EXACT_TOL:
                 raise ValueError(
                     f"observable {oname!r} has a non-diagonal spectral projector; "
                     "cannot express it as span() of basis labels"

@@ -104,3 +104,27 @@ def projector_orthogonal_to(rng, vec: CVec, rank: int | None = None) -> Projecto
     q = _basis_through(rng, vec)
     cols = q[:, 1 : 1 + rank]
     return Projector(cols, vec.labels)
+
+
+def diagonal_scenario_text(dim: int, gen) -> str:
+    """A serialized file over k0..k(dim-1) with random pre/post states, X with
+    eigenvalue j on |kj><kj| (dim ket-bra projectors) and a two-outcome span Y."""
+    from prepost.scenfile import ObsDecl, ProjDecl, ScenarioDoc, StateDecl, serialize
+
+    labels = tuple(f"k{j}" for j in range(dim))
+    states = []
+    for name in ("psi", "phi"):
+        v = gen.normal(size=dim) + 1j * gen.normal(size=dim)
+        states.append(StateDecl(name, tuple(zip(v / np.linalg.norm(v), labels))))
+    third = dim // 3
+    projs = [ProjDecl(f"P{j}", "ketbra", (labels[j],)) for j in range(dim)]
+    projs += [ProjDecl("PY", "span", labels[:third]), ProjDecl("PYn", "span", labels[third:])]
+    return serialize(ScenarioDoc(
+        basis=labels,
+        states=tuple(states),
+        projs=tuple(projs),
+        obs=(ObsDecl("X", tuple((float(j), f"P{j}") for j in range(dim))),
+             ObsDecl("Y", ((1.0, "PY"), (0.0, "PYn")))),
+        pre="psi",
+        post="phi",
+    ))

@@ -5,11 +5,14 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from prepost import PointerConfig, entangle, pointer_density, postselect, scenarios, scenfile
 from prepost.cli import main
 from prepost.pointer import _CHUNK
+
+from conftest import diagonal_scenario_text
 
 
 def run_cli(capsys, *argv):
@@ -593,3 +596,24 @@ def test_checks_do_not_rely_on_assert():
     assert proc.stdout == ""
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error kind=Usage ")
+
+
+def test_no_command_builds_a_dense_observable_matrix(capsys, monkeypatch, tmp_path):
+    from prepost import cli
+
+    path = tmp_path / "d128.scn"
+    path.write_text(diagonal_scenario_text(128, np.random.default_rng(128)), encoding="utf-8")
+    sc = scenfile.to_scenario(scenfile.parse(path.read_text(encoding="utf-8")))
+    assert all("mat" not in vars(obs) for obs in sc.observables.values())
+    loaded, real_load = [], cli.load_scenario
+    monkeypatch.setattr(cli, "load_scenario", lambda source: loaded.append(real_load(source))
+                        or loaded[-1])
+    sources = {"builtin:three-box": "ABC", "builtin:hardy": ("N1", "N4"), str(path): "XY"}
+    for source, names in sources.items():
+        for name in names:
+            for argv in (["weakvalue"], ["abl", "--outcome", "1"], ["consistency"], ["weight"],
+                         ["simulate", "--delta", "1", "--n", "1000", "--seed", "3"]):
+                code, _, err = run_cli(capsys, argv[0], source, "--obs", name, *argv[1:])
+                assert (code, err) == (0, ""), (source, name, argv)
+    assert len(loaded) == 35
+    assert all("mat" not in vars(obs) for sc in loaded for obs in sc.observables.values())

@@ -375,6 +375,37 @@ def test_guide_table_inverse_equals_interp(monkeypatch, n, delta):
     assert searched[-1] > 0  # the walk handed draws to the binary search
 
 
+def _guide_cdfs():
+    """CDFs of the sampled three-box and hardy densities, one whose nodes lie on
+    every cell edge, flat runs around a subnormal value, and random ones."""
+    cdfs = [_cdf(_three_box_density(delta, coupling)) for delta, coupling in _SAMPLED]
+    sc = hardy()
+    for name in ("N1", "N3", "N4"):
+        for delta in (10.0, 0.1):
+            cfg = PointerConfig(delta=delta)
+            amps = postselect(entangle(sc.observables[name], sc.pre, cfg), sc.post, cfg)[0]
+            cdfs.append(_cdf(pointer_density(amps, cfg)))
+    edges = np.arange(_GUIDE + 1) / _GUIDE
+    cdfs += [edges, np.sort(np.concatenate((edges, edges[::7])))]
+    tiny = 5e-324
+    cdfs.append(np.array([0.0, 0.0, tiny, tiny, tiny, 1 / _GUIDE, 1 / _GUIDE, 0.5, 1.0, 1.0]))
+    gen = np.random.default_rng(61)
+    for size in gen.integers(2, 5000, size=20):
+        steps = gen.random(size - 1) * (gen.random(size - 1) < 0.8)  # some flat runs
+        cdf = np.concatenate(([0.0], np.cumsum(steps)))
+        cdfs.append(cdf / cdf[-1])
+    return cdfs
+
+
+def test_guide_table_equals_a_binary_search_per_cell():
+    # the table counts ceil(cdf * _GUIDE); the reference searches every cell edge
+    for cdf in _guide_cdfs():
+        reference = np.searchsorted(cdf, np.arange(_GUIDE + 1) / _GUIDE, "right") - 1
+        guide = _InverseCdf(cdf, np.arange(cdf.size, dtype=float)).guide
+        assert guide.dtype == reference.dtype
+        assert np.array_equal(guide, reference)
+
+
 def _record_workers(monkeypatch, tmp_path, fail_in=None):
     """Patch `_fill_chunk` to append the pid of each process that runs it to a
     file, and to raise in the caller or in a worker when fail_in says so.

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from prepost import (
+    BasisMismatch,
     CMat,
     CVec,
     NormalizationError,
@@ -11,14 +12,21 @@ from prepost import (
     State,
     UndefinedWeakValue,
     WeakValueClass,
+    abl_probability,
     as_observable,
     classify,
+    hardy,
     spectral_decompose,
+    three_box,
     weak_value,
 )
 from prepost.linalg import DEGENERACY_TOL
+from prepost.scenfile import (
+    ObsDecl, ProjDecl, ScenarioDoc, StateDecl, parse, serialize, to_scenario,
+)
 
 from conftest import (
+    diagonal_scenario_text,
     random_hermitian,
     random_projector,
     random_state,
@@ -251,3 +259,137 @@ def test_eigenstate_weak_value_is_sharp(rng):
     report = weak_value(obs, pre, post)
     assert report.value == pytest.approx(lam, abs=1e-9)
     assert report.wv_class is WeakValueClass.SWV
+
+
+def test_observable_rejects_a_matrix_its_projectors_contradict():
+    labels = ("a", "b")
+    p = Projector.on_labels(labels, ("a",))
+    pre = State.normalized([1.0, 1.0], labels)
+    post = State.normalized([1.0, 0.5], labels)
+    # |a> carries eigenvalue 0 in the projectors but 1 in the matrix
+    with pytest.raises(ValueError, match="differs from its spectral sum by 1"):
+        Observable(CMat(np.diag([1.0, 0.0]), labels), (0.0, 1.0), (p, p.complement()))
+    obs = Observable(CMat(np.diag([0.0, 1.0]), labels), (0.0, 1.0), (p, p.complement()))
+    assert weak_value(obs, pre, post).value == pytest.approx(1.0 / 3.0, abs=1e-15)
+    # a gap on the spectrum's scale is rejected at every scale, and rounding is not
+    for scale in (1e-9, 1.0, 1e12):
+        lams = (0.0, scale)
+        with pytest.raises(ValueError, match="differs from"):
+            Observable(CMat(np.diag([0.0, scale * (1 + 1e-9)]), labels), lams, (p, p.complement()))
+        Observable(CMat(np.diag([0.0, scale * (1 + 1e-11)]), labels), lams, (p, p.complement()))
+    with pytest.raises(BasisMismatch):
+        Observable(CMat(np.diag([0.0, 1.0])), (0.0, 1.0), (p, p.complement()))
+
+
+def test_matrix_constructor_accepts_every_observable_it_is_given(rng):
+    # every observable rebuilt from its own matrix, as perfbench/tracing.py rebuilds
+    # the dim-scale ones: builtins, file observables and eigendecompositions
+    observables = [obs for build in (three_box, hardy) for obs in build().observables.values()]
+    observables += to_scenario(parse(diagonal_scenario_text(16, rng))).observables.values()
+    # (the Hermiticity check is absolute, so a rotated spectrum stays at moderate scales)
+    for dim, scale in ((2, 1e-9), (5, 1.0), (8, 1e2), (16, 1e3)):
+        u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+        lams = scale * np.repeat(np.arange(dim // 2 + 1), 2)[:dim]  # degenerate pairs
+        observables.append(spectral_decompose(CMat((u * lams) @ u.conj().T)))
+    for scale in (1e-9, 1e12):
+        p = Projector.on_labels(("a", "b", "c"), ("b",))
+        observables.append(Observable.from_projectors((0.0, scale), (p.complement(), p)))
+    for obs in observables:
+        rebuilt = Observable(obs.mat, obs.eigenvalues, obs.projectors)
+        assert rebuilt.eigenvalues == obs.eigenvalues
+        assert rebuilt.projectors == obs.projectors
+        assert np.array_equal(rebuilt.v, obs.v) and rebuilt.bounds == obs.bounds
+
+
+def test_spectral_projectors_must_share_a_basis_and_be_nonzero():
+    p = Projector.on_labels(("a", "b"), ("a",))
+    q = Projector.on_labels(("x", "y"), ("y",))
+    with pytest.raises(BasisMismatch):
+        Observable.from_projectors((0.0, 1.0), (p, q))
+    ident = Projector.identity(("a", "b"))
+    with pytest.raises(ValueError, match="rank 0"):
+        Observable.from_projectors((0.0, 1.0), (ident.complement(), ident))
+
+
+def _overlap_pair(gen, dim: int):
+    """Pre/post states whose overlap modulus is log-uniform in [1e-10, 1]."""
+    pre = State.normalized(random_vector(gen, dim).amps, tuple(f"k{j}" for j in range(dim)))
+    w = random_vector(gen, dim).amps
+    w = w - np.vdot(pre.vec.amps, w) * pre.vec.amps
+    t = 10.0 ** gen.uniform(-10.0, 0.0)
+    amps = np.exp(2j * np.pi * gen.random()) * t * pre.vec.amps
+    return pre, State.normalized(amps + np.sqrt(1.0 - t * t) * w / np.linalg.norm(w), pre.labels)
+
+
+def _random_spectrum(gen, dim: int):
+    """Haar columns, random block ranks and distinct eigenvalues at a random scale."""
+    u = np.linalg.qr(gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim)))[0]
+    k = int(gen.integers(1, dim + 1))
+    bounds = [0, *np.sort(gen.choice(np.arange(1, dim), k - 1, replace=False)).tolist(), dim]
+    lams = np.sort(gen.choice(np.arange(-40, 41), k, replace=False)) * 10.0 ** gen.uniform(-3, 3)
+    return u, bounds, lams.tolist()
+
+
+def _file_observable(u, bounds, lams, pre, post):
+    """The spectrum as a scenario file: one state per column of u, ket-bras of the
+    rank-1 blocks and spans of the others, parsed back."""
+    labels = pre.labels
+    cols = [StateDecl(f"u{j}", tuple(zip(u[:, j], labels))) for j in range(u.shape[0])]
+    projs = tuple(
+        ProjDecl(f"P{k}", "ketbra" if b - a == 1 else "span", tuple(f"u{j}" for j in range(a, b)))
+        for k, (a, b) in enumerate(zip(bounds, bounds[1:]))
+    )
+    doc = ScenarioDoc(
+        basis=labels,
+        states=(StateDecl("psi", tuple(zip(pre.vec.amps, labels))),
+                StateDecl("phi", tuple(zip(post.vec.amps, labels))), *cols),
+        projs=projs,
+        obs=(ObsDecl("A", tuple((lam, f"P{k}") for k, lam in enumerate(lams))),),
+        pre="psi",
+        post="phi",
+    )
+    sc = to_scenario(parse(serialize(doc)))
+    return sc.observables["A"], sc.pre, sc.post
+
+
+@pytest.mark.parametrize("source", ["matrix", "file"])
+def test_column_observable_matches_the_dense_reference(source):
+    # weak value and ABL from the eigenbasis amplitudes against <post|A|pre>/<post|pre>
+    # on the dense A, and against a loop over the projectors; errors bounded as in
+    # Higham's inner-product analysis (Accuracy and Stability, 2nd ed., sec. 3.1)
+    gen = np.random.default_rng(1906 if source == "matrix" else 1907)
+    eps = np.finfo(float).eps / 2.0
+    for case in range(120 if source == "matrix" else 40):
+        dim = int(gen.integers(2, 33))
+        u, bounds, lams = _random_spectrum(gen, dim)
+        pre, post = _overlap_pair(gen, dim)
+        blocks = [u[:, a:b] @ u[:, a:b].conj().T for a, b in zip(bounds, bounds[1:])]
+        dense = sum(lam * block for lam, block in zip(lams, blocks))
+        if source == "matrix":
+            obs = spectral_decompose(CMat((dense + dense.conj().T) / 2.0, pre.labels))
+        else:
+            obs, pre, post = _file_observable(u, bounds, lams, pre, post)
+        norm = max(abs(lam) for lam in lams)
+        assert np.allclose(obs.eigenvalues, lams, rtol=0.0, atol=16 * dim * eps * norm)
+        assert np.diff(obs.bounds).tolist() == np.diff(bounds).tolist()
+        assert np.max(np.abs(obs.mat.entries - dense)) <= 16 * dim * eps * norm, case
+        a, b = pre.vec.amps, post.vec.amps
+        overlap = np.vdot(b, a)
+        reference = np.vdot(b, dense @ a) / overlap
+        loop = sum(
+            lam * p.amplitude(post.vec, pre.vec) for lam, p in zip(obs.eigenvalues, obs.projectors)
+        ) / overlap
+        got = weak_value(obs, pre, post).value
+        bound = 16 * dim * eps * (norm + abs(reference)) / abs(overlap)
+        assert abs(got - reference) <= bound and abs(got - loop) <= bound, case
+        # p_k = |a_k|^2/S moves by at most 2 (1 + sqrt(k)) delta / sqrt(S) when each
+        # amplitude a_k moves by delta <~ n u
+        amps = np.array([np.vdot(b, block @ a) for block in blocks])
+        total = np.sum(np.abs(amps) ** 2)
+        loop_amps = np.array([p.amplitude(post.vec, pre.vec) for p in obs.projectors])
+        abl_bound = 16 * dim * eps * (1 + np.sqrt(len(lams))) / np.sqrt(total)
+        for k, lam in enumerate(obs.eigenvalues):
+            got = abl_probability(obs, pre, post, lam)
+            assert abs(got - abs(amps[k]) ** 2 / total) <= abl_bound, (case, k)
+            loop = abs(loop_amps[k]) ** 2 / np.sum(np.abs(loop_amps) ** 2)
+            assert abs(got - loop) <= abl_bound, (case, k)

@@ -1,14 +1,23 @@
+import math
+
 import numpy as np
 import pytest
 
 from prepost import (
+    CVec,
     NormalizationError,
+    Observable,
     ParseError,
+    Projector,
+    Scenario,
+    State,
+    as_observable,
     hardy,
     three_box,
     weak_value,
 )
 from prepost.scenfile import (
+    ProjDecl,
     ScenarioDoc,
     StateDecl,
     doc_from_scenario,
@@ -372,3 +381,19 @@ def test_comments_and_blank_lines_are_ignored():
     doc = parse(text)
     assert doc.basis == ("a", "b")
     assert doc.states[0].terms == ((complex(1.0), "a"),)
+
+
+def test_doc_from_scenario_reads_diagonality_from_the_columns():
+    labels = ("a", "b", "c")
+    pre = State.normalized([1.0, 1.0, 1.0], labels)
+    post = State.normalized([1.0, 0.0, 1.0], labels)
+    c, s = math.cos(0.3), math.sin(0.3) * np.exp(0.7j)
+    rotated = Projector(np.array([[c, -s.conjugate()], [s, c], [0.0, 0.0]]), labels)
+    obs = Observable.from_projectors((0.0, 1.0), (rotated, Projector.on_labels(labels, ("c",))))
+    doc = doc_from_scenario(Scenario("rotated", labels, pre, post, {"X": obs}))
+    # columns rotated within span{a, b} still make the diagonal projector onto a and b
+    assert doc.projs == (ProjDecl("P_X_0", "span", ("a", "b")), ProjDecl("P_X_1", "span", ("c",)))
+    for tilt in (1.0, 1e-7):
+        tilted = as_observable(Projector.onto(CVec(np.array([1.0, tilt, 0.0]), labels)))
+        with pytest.raises(ValueError, match="non-diagonal spectral projector"):
+            doc_from_scenario(Scenario("tilted", labels, pre, post, {"X": tilted}))
