@@ -24,7 +24,7 @@ from .errors import (
     UndefinedWeight,
     UnknownEigenvalue,
 )
-from .linalg import CMat, CVec, apply, inner, tensor
+from .linalg import CMat, CVec, inner, tensor
 from .quantum import (
     Observable,
     Projector,
@@ -103,7 +103,6 @@ __all__ = [
     "WeakValueReport",
     "abl_from_weak_values",
     "abl_probability",
-    "apply",
     "as_observable",
     "builtin",
     "classify",

@@ -22,13 +22,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (
-    BasisMismatch,
-    DimensionError,
-    UndefinedABL,
-    UndefinedWeight,
-    UnknownEigenvalue,
-)
+from .errors import UndefinedABL, UndefinedWeight, UnknownEigenvalue
 from .linalg import CONSISTENCY_TOL, REAL_TOL, ZERO_TOL, check_same_basis, inner
 from .quantum import Observable, Projector, State
 
@@ -37,15 +31,6 @@ class FailureMode(Enum):
     NONE = "None"
     UNSHARP = "Unsharp"
     STRANGE = "Strange"
-
-
-def _check_conformable(*projs: Projector):
-    dims = {p.dim for p in projs}
-    if len(dims) != 1:
-        raise DimensionError(f"projectors have mixed dimensions {sorted(dims)}")
-    labels = {p.labels for p in projs}
-    if len(labels) != 1:
-        raise BasisMismatch(f"projectors have mixed basis labels {sorted(labels)}")
 
 
 class Family:
@@ -169,7 +154,8 @@ def abl_from_weak_values(wv: complex) -> float:
 def history_weight(d: Projector, e: Projector, f: Projector) -> float:
     """Weight Tr[DEFE] of the history d -> e -> f, as the squared Frobenius
     norm of Q_f^dagger E Q_d (real and non-negative)."""
-    _check_conformable(d, e, f)
+    check_same_basis(d, e)
+    check_same_basis(e, f)
     return float(np.linalg.norm((f.q.conj().T @ e.q) @ (e.q.conj().T @ d.q)) ** 2)
 
 

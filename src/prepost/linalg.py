@@ -1,7 +1,7 @@
 """Dense complex linear algebra over small labeled Hilbert spaces.
 
 Vectors and matrices carry the labels of the basis they are expressed in;
-`inner` and `apply` check that their operands share one labeled basis,
+`inner` checks that its operands share one labeled basis,
 so amplitudes written in different bases can never be mixed silently.
 Their arrays are read-only after construction, so values are safe to share
 between concurrent workers.
@@ -18,8 +18,10 @@ import numpy as np
 from .errors import BasisMismatch, DimensionError
 
 # The tolerance table: each threshold of prepost, named for the decision it makes.  All are
-# absolute except where a line says it is taken times a spectrum's largest |eigenvalue|.
-#: Arrays within this max-abs gap are equal: `allclose`, Q^dagger Q = I, M = M^dagger.
+# absolute except where a line says it is taken times a spectrum's largest |eigenvalue|
+# or a matrix's largest |entry|.
+#: Arrays within this max-abs gap are equal: `allclose`, Q^dagger Q = I; M = M^dagger within
+#: this times M's largest |entry|.
 EQUAL_TOL = 1e-10
 #: A state's norm is 1 within this.
 NORM_TOL = 1e-10
@@ -173,11 +175,6 @@ def inner(u: CVec, v: CVec) -> complex:
     """Hermitian inner product, conjugating the first argument."""
     check_same_basis(u, v)
     return complex(np.vdot(u.amps, v.amps))
-
-
-def apply(a: CMat, v: CVec) -> CVec:
-    check_same_basis(a, v)
-    return CVec(a.entries @ v.amps, v.labels)
 
 
 def tensor_labels(a: Sequence[str], b: Sequence[str]) -> tuple[str, ...]:

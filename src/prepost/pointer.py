@@ -26,7 +26,7 @@ from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import BasisMismatch, PointerRangeError, PostSelectionImpossible
+from .errors import PointerRangeError, PostSelectionImpossible
 from .linalg import ZERO_RATE_TOL, ZERO_TOL
 from .quantum import Observable, State
 
@@ -81,12 +81,13 @@ class PointerConfig:
 
 
 class Branches(NamedTuple):
-    """Entangled system-apparatus state: row i of `components` (k x n) is the
-    system part P_i|pre> of the branch whose pointer sits at centers[i]."""
+    """Entangled system-apparatus state: the branch whose pointer sits at centers[i]
+    carries P_k|pre>, P_k the projector of obs.eigenvalues[k] for k = kept[i]."""
 
     centers: np.ndarray
-    components: np.ndarray
-    labels: tuple[str, ...]
+    kept: np.ndarray
+    obs: Observable
+    pre: State
 
 
 def gaussian_amplitude(x, center: float, delta: float):
@@ -101,11 +102,10 @@ def entangle(obs: Observable, pre: State, cfg: PointerConfig) -> Branches:
     center x0 + coupling * lambda.  Branches of norm at most ZERO_TOL are
     dropped, so an eigenstate input yields a single branch of norm 1.
     """
-    # row k adds up the columns V_j (V_j^dagger pre) of eigenvalue k's block
-    components = np.add.reduceat(obs.v * obs.in_eigenbasis(pre.vec), obs.bounds[:-1], axis=1).T
-    keep = np.linalg.norm(components, axis=1) > ZERO_TOL
-    centers = cfg.x0 + cfg.coupling * np.array(obs.eigenvalues)[keep]
-    return Branches(centers, components[keep], pre.labels)
+    x = obs.in_eigenbasis(pre.vec)  # ||P_k|pre>|| is the norm of block k of V^dagger pre
+    kept = np.flatnonzero(np.sqrt(np.add.reduceat(np.abs(x) ** 2, obs.bounds[:-1])) > ZERO_TOL)
+    centers = cfg.x0 + cfg.coupling * np.array(obs.eigenvalues)[kept]
+    return Branches(centers, kept, obs, pre)
 
 
 def postselect(
@@ -113,7 +113,7 @@ def postselect(
 ) -> tuple[list[tuple[float, complex]], float]:
     """Project the system on |post>; returns per-branch apparatus amplitudes
 
-    [(center, <post|component>)] and the exact post-selection rate.  The
+    [(center, <post|P_k|pre>)] and the exact post-selection rate.  The
     rate needs cfg because finite-delta Gaussian overlaps between branch
     pointer states contribute interference terms.
     """
@@ -122,14 +122,8 @@ def postselect(
 
 
 def _branch_amplitudes(bs: Branches, post: State) -> list[tuple[float, complex]]:
-    """[(center, <post|component>)] for each branch of bs."""
-    if post.labels != bs.labels:
-        raise BasisMismatch(
-            f"post-selection basis {post.labels} does not match branch basis {bs.labels}"
-        )
-    # np.vdot row by row, not components @ conj(post): a BLAS matrix-vector
-    # product rounds differently, and the sampled pointer readings would change.
-    amps = np.array([np.vdot(post.vec.amps, row) for row in bs.components], dtype=complex)
+    """[(center, <post|P_k|pre>)] for each branch of bs, read from `Observable.amplitudes`."""
+    amps = bs.obs.amplitudes(post.vec, bs.pre.vec)[bs.kept]
     if not amps.size or np.abs(amps).max() <= ZERO_TOL:
         raise PostSelectionImpossible(
             "post-selection state is orthogonal to every branch"

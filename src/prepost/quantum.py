@@ -12,6 +12,7 @@ operator's eigenvalue set:
 from __future__ import annotations
 
 import itertools
+import math
 from enum import Enum
 from functools import cached_property
 from typing import NamedTuple, Sequence, Union
@@ -172,9 +173,13 @@ def _scaled(tol: float, eigenvalues: Sequence[float]) -> float:
 
 
 def _check_hermitian(mat: CMat) -> None:
-    defect = mat.hermiticity_defect()
-    if defect > EQUAL_TOL:
-        raise NotHermitian(f"observable matrix deviates from Hermitian by {defect:.3g}")
+    """NotHermitian unless max|M - M^dagger| <= EQUAL_TOL max|M_ij|, the scale of the
+    rounding in forming M, and every entry is finite."""
+    scale = float(np.max(np.abs(mat.entries)))
+    defect = mat.hermiticity_defect() if math.isfinite(scale) else math.nan
+    if not defect <= EQUAL_TOL * scale:  # so that a NaN defect fails too
+        raise NotHermitian(f"observable matrix deviates from Hermitian by {defect:.3g} "
+                           f"with entries up to {scale:.3g}")
 
 
 class Observable:

@@ -43,6 +43,8 @@ def test_history_requires_matching_dimensions():
     d3 = Projector.identity(("x", "y", "z"))
     with pytest.raises(DimensionError):
         history_weight(d2, d3, d2)
+    with pytest.raises(BasisMismatch):
+        history_weight(d2, d2, Projector.identity(("a", "c")))
 
 
 def test_family_checks_bases_and_builds_endpoints_only_when_read():

@@ -7,9 +7,9 @@ import pytest
 
 import prepost
 from prepost import BasisMismatch, CMat, CVec, DimensionError
-from prepost.linalg import apply, index_labels, inner, label_index, tensor, tensor_labels
+from prepost.linalg import index_labels, inner, label_index, tensor, tensor_labels
 
-from conftest import random_hermitian, random_vector
+from conftest import random_vector
 
 
 def test_default_labels_are_indices():
@@ -62,8 +62,6 @@ def test_mismatched_bases_are_rejected():
         inner(u, w)
     with pytest.raises(DimensionError):
         inner(u, short)
-    with pytest.raises(BasisMismatch):
-        apply(CMat(np.eye(2), ("x", "z")), u)
 
 
 def test_norm_and_allclose():
@@ -80,14 +78,6 @@ def test_inner_conjugates_first_argument(rng):
     assert inner(u, v) == pytest.approx(direct)
     assert inner(CVec(u.amps * 1j), v) == pytest.approx(-1j * direct)
     assert inner(u, CVec(v.amps * 1j)) == pytest.approx(1j * direct)
-
-
-def test_apply_is_the_matrix_vector_product(rng):
-    u = random_vector(rng, 3)
-    m = random_hermitian(rng, 3)
-    mu = apply(m, u)
-    assert np.allclose(mu.amps, m.entries @ u.amps)
-    assert mu.labels == u.labels
 
 
 def test_matrix_constructors_and_hermiticity():

@@ -19,6 +19,7 @@ from prepost import (
     PointerEnsemble,
     Projector,
     State,
+    abl_probability,
     as_observable,
     entangle,
     gaussian_amplitude,
@@ -33,13 +34,14 @@ from prepost import (
     write_density_csv,
     write_samples_csv,
 )
+from prepost.scenfile import parse, to_scenario
 
 from prepost import pointer as pointer_module
 from prepost.pointer import (
     _CHUNK, _FLOAT_COLS, _GUIDE, _WRITE_ROWS, Density, _Buffers, _InverseCdf, _put_repr,
 )
 
-from conftest import random_state_pair
+from conftest import diagonal_scenario_text, random_state_pair
 
 
 def _three_box_amps(cfg):
@@ -86,16 +88,21 @@ def test_gaussian_amplitude_is_normalized_with_sd_delta():
         assert second == pytest.approx(delta**2, rel=1e-8)
 
 
+def _branch_norms(bs, cfg):
+    """{center: ||P_k|pre>||^2}, read as <pre|P_k|pre> by post-selecting on pre itself."""
+    amps, _ = postselect(bs, bs.pre, cfg)
+    return {center: amp.real for center, amp in amps}
+
+
 def test_entangle_three_box_branches():
     sc = three_box()
     cfg = PointerConfig(delta=1.0)
     bs = entangle(sc.observables["C"], sc.pre, cfg)
-    assert bs.labels == sc.basis_labels and bs.components.shape == (2, 3)
-    by_center = dict(zip(bs.centers.tolist(), bs.components))
-    assert set(by_center) == {0.0, 1.0}
-    s = 1.0 / np.sqrt(3.0)
-    assert np.allclose(by_center[0.0], [s, s, 0.0])
-    assert np.allclose(by_center[1.0], [0.0, 0.0, s])
+    assert bs.kept.tolist() == [0, 1] and bs.centers.tolist() == [0.0, 1.0]
+    assert bs.obs is sc.observables["C"] and bs.pre is sc.pre
+    norms = _branch_norms(bs, cfg)
+    assert norms[0.0] == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert norms[1.0] == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
 def test_entangle_eigenstate_gives_single_branch():
@@ -103,22 +110,22 @@ def test_entangle_eigenstate_gives_single_branch():
     cfg = PointerConfig(delta=1.0, coupling=2.0, x0=0.5)
     pre = State(CVec.basis_vector("c", sc.basis_labels))
     bs = entangle(sc.observables["C"], pre, cfg)
-    assert bs.components.shape == (1, 3)
+    assert bs.kept.tolist() == [1]
     assert bs.centers[0] == pytest.approx(0.5 + 2.0)
-    assert np.linalg.norm(bs.components[0]) == pytest.approx(1.0)
+    assert list(_branch_norms(bs, cfg).values()) == pytest.approx([1.0])
 
 
 def test_entangle_branch_norms_are_born_probabilities(rng):
     cfg = PointerConfig(delta=1.0)
+    obs = three_box().observables["A"]
     for _ in range(20):
         pre, _ = random_state_pair(rng, 3)
-        obs = three_box().observables["A"]
         pre = State(CVec(pre.vec.amps, obs.labels))
         bs = entangle(obs, pre, cfg)
-        for lam, component in zip(bs.centers, bs.components):  # coupling 1, x0 0
+        for lam, norm in _branch_norms(bs, cfg).items():  # coupling 1, x0 0
             proj = obs.projector_for(lam)
             born = float(np.real(np.vdot(pre.vec.amps, proj.mat.entries @ pre.vec.amps)))
-            assert np.linalg.norm(component) ** 2 == pytest.approx(born, abs=1e-12)
+            assert norm == pytest.approx(born, abs=1e-12)
 
 
 def test_entangle_holds_branches_to_the_state_norm_check():
@@ -126,8 +133,9 @@ def test_entangle_holds_branches_to_the_state_norm_check():
     # State holds to NORM_TOL, so the branches need no norm check of their own
     sc = three_box()
     pre = State(CVec(sc.pre.vec.amps * (1 + 8e-11), sc.pre.vec.labels))
-    bs = entangle(sc.observables["C"], pre, PointerConfig(delta=1.0))
-    assert np.linalg.norm(bs.components) == pytest.approx(1 + 8e-11, abs=1e-13)
+    cfg = PointerConfig(delta=1.0)
+    bs = entangle(sc.observables["C"], pre, cfg)
+    assert sum(_branch_norms(bs, cfg).values()) == pytest.approx((1 + 8e-11) ** 2, abs=1e-13)
 
 
 def test_entangle_dimension_mismatch():
@@ -159,8 +167,29 @@ def test_postselect_completeness_over_a_basis():
             continue  # orthogonal to every branch: contributes nothing
         for center, amp in amps:
             totals[center] += abs(amp) ** 2
-    for center, component in zip(bs.centers.tolist(), bs.components):
-        assert totals[center] == pytest.approx(np.linalg.norm(component) ** 2, abs=1e-12)
+    for center, norm in _branch_norms(bs, cfg).items():
+        assert totals[center] == pytest.approx(norm, abs=1e-12)
+
+
+def test_branch_amplitudes_are_the_family_amplitudes(rng):
+    # the pointer, ABL and the weak value all read <post|P_k|pre> from one vector
+    cfg = PointerConfig(delta=1.0)
+    file = to_scenario(parse(diagonal_scenario_text(64, rng)))
+    for sc in (three_box(), hardy(), file):
+        for obs in sc.observables.values():
+            bs = entangle(obs, sc.pre, cfg)
+            amps, _ = postselect(bs, sc.post, cfg)
+            expected = obs.amplitudes(sc.post.vec, sc.pre.vec)[bs.kept]
+            assert np.array_equal([a for _, a in amps], expected)
+
+
+def test_three_box_empty_box_amplitude_is_exactly_zero():
+    # <phi|(1 - P_A)|psi> = 1/3 - 1/3: the blocks of V^dagger pre and V^dagger post
+    # cancel exactly, where a sum over the n-vector P|pre> left 2.9e-18
+    sc, cfg = three_box(), PointerConfig(delta=1.0)
+    for name in ("A", "B"):
+        amps, _ = postselect(entangle(sc.observables[name], sc.pre, cfg), sc.post, cfg)
+        assert dict(amps)[0.0] == 0.0, name
 
 
 def test_simulate_builds_one_density(monkeypatch):
@@ -267,6 +296,16 @@ def test_sharp_pointer_masses_match_abl():
     density = pointer_density(amps, cfg)
     assert density.mass_between(0.5, np.inf) == pytest.approx(0.2, abs=1e-6)
     assert density.mass_between(-np.inf, 0.5) == pytest.approx(0.8, abs=1e-6)
+    # at delta 1e-3 the branches no longer overlap: the mass within 10 delta of each
+    # centre is its outcome's ABL probability, and 0 where entangle dropped the branch
+    cfg = PointerConfig(delta=1e-3)
+    for sc in (three_box(), hardy()):
+        for obs in sc.observables.values():
+            amps, _ = postselect(entangle(obs, sc.pre, cfg), sc.post, cfg)
+            density = pointer_density(amps, cfg)
+            for lam in obs.eigenvalues:  # coupling 1, x0 0
+                mass = density.mass_between(lam - 10 * cfg.delta, lam + 10 * cfg.delta)
+                assert mass == pytest.approx(abl_probability(obs, sc.pre, sc.post, lam), abs=1e-12)
 
 
 def test_sampling_is_deterministic_and_seed_sensitive():

@@ -128,6 +128,23 @@ def test_spectral_decompose_rejects_nonhermitian():
         spectral_decompose(CMat(np.array([[0.0, 1.0], [0.0, 0.0]])))
 
 
+@pytest.mark.parametrize("scale", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e8, 1e12])
+def test_hermiticity_check_is_relative_to_the_largest_entry(scale):
+    # rounding in U diag(lambda) U^dagger grows with lambda, so it decomposes at any
+    # scale, while an anti-Hermitian part of 1e-9 times the largest |entry| never does
+    gen = np.random.default_rng(0)
+    u = np.linalg.qr(gen.standard_normal((8, 8)) + 1j * gen.standard_normal((8, 8)))[0]
+    m = (u * (scale * np.arange(8.0))) @ u.conj().T
+    assert spectral_decompose(CMat(m)).dim == 8
+    with pytest.raises(NotHermitian):
+        spectral_decompose(CMat(m + 1e-9j * np.abs(m).max() * np.eye(8)))
+    for bad in (np.nan, np.inf):
+        broken = m.copy()
+        broken[0, 1] = broken[1, 0] = bad
+        with pytest.raises(NotHermitian):
+            spectral_decompose(CMat(broken))
+
+
 def test_observable_validates_projector_data():
     p = Projector.on_labels(("a", "b"), ("a",))
     with pytest.raises(ValueError):
@@ -286,8 +303,7 @@ def test_matrix_constructor_accepts_every_observable_it_is_given(rng):
     # the dim-scale ones: builtins, file observables and eigendecompositions
     observables = [obs for build in (three_box, hardy) for obs in build().observables.values()]
     observables += to_scenario(parse(diagonal_scenario_text(16, rng))).observables.values()
-    # (the Hermiticity check is absolute, so a rotated spectrum stays at moderate scales)
-    for dim, scale in ((2, 1e-9), (5, 1.0), (8, 1e2), (16, 1e3)):
+    for dim, scale in ((2, 1e-9), (5, 1.0), (8, 1e2), (16, 1e3), (8, 1e8)):
         u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
         lams = scale * np.repeat(np.arange(dim // 2 + 1), 2)[:dim]  # degenerate pairs
         observables.append(spectral_decompose(CMat((u * lams) @ u.conj().T)))
