@@ -203,10 +203,7 @@ def _cmd_simulate(args) -> int:
         cfg = pointer.PointerConfig(delta=args.delta, x0=args.x0, coupling=args.coupling)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    ens = pointer.simulate(
-        obs, sc.pre, sc.post, cfg, args.n, args.seed,
-        keep_samples=args.samples_out is not None,
-    )
+    ens = pointer.simulate(obs, sc.pre, sc.post, cfg, args.n, args.seed)
     if args.density_out:
         pointer.write_density_csv(ens.density, args.density_out)
     if args.samples_out:
@@ -303,6 +300,9 @@ def main(argv=None) -> int:
         return 1
     except (OSError, PointerRangeError) as exc:
         _emit_error(type(exc).__name__, str(exc))
+        return 1
+    except MemoryError as exc:  # numpy raises its own subclass, _ArrayMemoryError
+        _emit_error("MemoryError", str(exc))
         return 1
     except _COMPUTATION_ERRORS as exc:
         _emit_error(type(exc).__name__, str(exc))

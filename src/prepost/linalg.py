@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import sys
-from typing import Mapping, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -126,17 +126,11 @@ class CVec:
         return CVec(self.amps / scalar, self.labels)
 
     @classmethod
-    def basis_vector(
-        cls, label: str, labels: Sequence[str], index: Optional[Mapping[str, int]] = None
-    ) -> "CVec":
-        """Unit vector along the basis element named `label`.
-
-        `index` is `label_index(labels)`; callers building many vectors over
-        one basis pass it once built, so each lookup is O(1).
-        """
+    def basis_vector(cls, label: str, labels: Sequence[str]) -> "CVec":
+        """Unit vector along the basis element named `label`."""
         labels = tuple(labels)
         amps = np.zeros(len(labels), dtype=complex)
-        amps[labels.index(label) if index is None else index[label]] = 1.0
+        amps[labels.index(label)] = 1.0
         return cls(amps, labels)
 
 

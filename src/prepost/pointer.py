@@ -22,7 +22,7 @@ import os
 import pickle
 import struct
 import sys
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,7 +133,7 @@ def _branch_amplitudes(bs: Branches, post: State) -> list[tuple[float, complex]]
 
 class Density:
     """Post-selected pointer density of amps [(c_i, alpha_i)]: closed-form rate, moments
-    and masses, and the table `xs`, `ps` that `sample` inverts, built on first use."""
+    and masses, and the table `xs`, `ps` and its `inverse` CDF, built on first use."""
 
     def __init__(self, amps: Sequence[tuple[float, complex]], delta: float):
         if not amps:
@@ -193,6 +193,14 @@ class Density:
                   for c, a in zip(self.centers, self.alphas))
         return np.abs(psi) ** 2 / self.rate
 
+    @functools.cached_property
+    def inverse(self) -> _InverseCdf:
+        """The inverse of the trapezoid-rule CDF over the table, which `sample` draws with."""
+        xs, ps = self.xs, self.ps
+        cdf = np.concatenate(([0.0], np.cumsum((ps[1:] + ps[:-1]) / 2.0 * np.diff(xs))))
+        cdf /= cdf[-1]
+        return _InverseCdf(cdf, xs)
+
 
 def pointer_density(amps: Sequence[tuple[float, complex]], cfg: PointerConfig) -> Density:
     """The post-selected pointer density of amps at cfg's spread."""
@@ -200,16 +208,25 @@ def pointer_density(amps: Sequence[tuple[float, complex]], cfg: PointerConfig) -
 
 
 class PointerEnsemble(NamedTuple):
-    """Monte Carlo pointer readings together with their source density.
+    """Moments of n Monte Carlo pointer readings, with the density and the seed
+    of the Philox stream they were drawn from.  The draws themselves are not held."""
 
-    `samples` is None when the ensemble was drawn with keep_samples=False.
-    """
-
-    samples: Optional[np.ndarray]
     mean: float
     variance: float
     density: Density
     postselect_rate: float
+    n: int
+    seed: int
+
+    @property
+    def samples(self) -> np.ndarray:
+        """The n draws, regenerated from the stream on every read: O(n) memory."""
+        out, at = np.empty(self.n), 0
+        buf = _Buffers(min(_BLOCK, self.n))
+        for block in _blocks(0, self.n, self.seed, self.density.inverse, buf):
+            out[at : at + len(block)] = block
+            at += len(block)
+        return out
 
 
 def _usable_cores() -> int:
@@ -227,24 +244,19 @@ _LENGTH = struct.Struct("<q")
 
 
 @contextlib.contextmanager
-def _in_workers(
-    count: int,
-    work: Callable[[int, bool], Sequence],
-    into: Optional[Callable[[int], Sequence]] = None,
-) -> Iterator[Iterator[Sequence]]:
-    """Run work(i, in_caller) for i in range(count) on W workers; yield the results in order.
+def _in_workers(count: int, work: Callable[[int], np.ndarray]) -> Iterator[Iterator]:
+    """Run work(i) for i in range(count) on W workers; yield the results in order.
 
-    work returns an item's buffers.  W = min(usable cores, count), or 1
-    where os.fork is missing or another Python thread runs (a forked child
-    could deadlock on a lock that thread holds).  Item i runs in worker i mod
-    W.  Worker 0 is the caller, which runs its items as they are consumed.
-    Workers 1..W-1 are forked on entry, before the caller opens anything;
-    each sends its items, one at a time, through a pipe of its own and ends
-    with os._exit.  The caller reads a child's item into the buffers into(i)
-    returns, or into one new bytearray, and raises a child's exception when
-    it reaches that item.  On leaving, every pipe is closed before any child
-    is waited for, so a child blocked on a full pipe stops and none outlives
-    the call.
+    work returns an item as one contiguous array.  W = min(usable cores,
+    count), or 1 where os.fork is missing or another Python thread runs (a
+    forked child could deadlock on a lock that thread holds).  Item i runs
+    in worker i mod W.  Worker 0 is the caller, which runs its items as they
+    are consumed.  Workers 1..W-1 are forked on entry, before the caller
+    opens anything; each sends its items, one at a time, through a pipe of
+    its own and ends with os._exit.  The caller reads a child's item into a
+    new bytearray, and raises a child's exception when it reaches that item.
+    On leaving, every pipe is closed before any child is waited for, so a
+    child blocked on a full pipe stops and none outlives the call.
     """
     workers = min(_usable_cores(), count)
     threading = sys.modules.get("threading")  # no Python thread runs before it is loaded
@@ -252,19 +264,16 @@ def _in_workers(
         workers = min(workers, 1)
     pipes, pids = [], []
 
-    def results() -> Iterator[Sequence]:
+    def results() -> Iterator:
         for i in range(count):
             if i % workers == 0:
-                yield work(i, True)
+                yield work(i)
                 continue
             pipe = pipes[i % workers - 1]
             length = _LENGTH.unpack(_read_into(pipe, bytearray(_LENGTH.size)))[0]
             if length < 0:
                 raise pickle.loads(_read_into(pipe, bytearray(-length)))
-            buffers = (bytearray(length),) if into is None else into(i)
-            if sum(memoryview(b).nbytes for b in buffers) != length:
-                raise RuntimeError(f"item {i}: {length} bytes sent for buffers of another size")
-            yield [_read_into(pipe, b) for b in buffers]
+            yield _read_into(pipe, bytearray(length))
 
     try:
         for k in range(1, workers):
@@ -289,13 +298,13 @@ def _in_workers(
             os.waitpid(pid, 0)
 
 
-def _serve(end, items: range, work: Callable[[int, bool], Sequence]):
-    """A child's loop: send each item's length and buffers through end, or the
+def _serve(end, items: range, work: Callable[[int], np.ndarray]):
+    """A child's loop: send each item's length and bytes through end, or the
     exception that stopped it.  Never returns."""
     try:
         for i in items:
-            buffers = [memoryview(b).cast("B") for b in work(i, False)]
-            _send(end, _LENGTH.pack(sum(b.nbytes for b in buffers)), *buffers)
+            item = memoryview(work(i)).cast("B")
+            _send(end, _LENGTH.pack(item.nbytes), item)
         os._exit(0)
     except BaseException as exc:  # ends here: a child must never unwind into the caller's frames
         try:
@@ -404,73 +413,49 @@ def _merge(a: tuple, b: tuple) -> tuple:
     return n, mean_a + d * n_b / n, m2_a + m2_b + d * d * n_a * n_b / n
 
 
-def _fill_chunk(
-    out: Optional[np.ndarray], lo: int, hi: int, seed: int, inverse: _InverseCdf,
-    buf: _Buffers,
-) -> tuple:
-    """Draw lo..hi-1 of the Philox stream; return their (count, mean, M2).
-
-    The draws are inverted block by block, into out (hi - lo long) when the
-    samples are kept and in place over the block's uniforms otherwise, and
-    the blocks' moments are merged in order while each block is in cache.
-    """
-    uniforms = np.random.Generator(np.random.Philox(key=seed).advance(lo // 4))
-    moments = []
-    for start in range(0, hi - lo, _BLOCK):
-        m = min(_BLOCK, hi - lo - start)
+def _blocks(lo: int, hi: int, seed: int, inverse: _InverseCdf, buf: _Buffers) -> Iterator:
+    """Draws lo..hi-1 of the Philox stream keyed by seed, lo a multiple of 4, in
+    blocks of up to len(buf.u), each inverted in place over its uniforms in buf.u."""
+    uniforms, size = np.random.Generator(np.random.Philox(key=seed).advance(lo // 4)), len(buf.u)
+    for start in range(lo, hi, size):
+        m = min(size, hi - start)
         u = uniforms.random(m, out=buf.u[:m])
-        block = u if out is None else out[start : start + m]
-        inverse(u, block, buf)
+        inverse(u, u, buf)
+        yield u
+
+
+def _fill_chunk(lo: int, hi: int, seed: int, inverse: _InverseCdf, buf: _Buffers) -> tuple:
+    """(count, mean, M2) of draws lo..hi-1, merged block by block while each is in cache."""
+    moments = []
+    for block in _blocks(lo, hi, seed, inverse, buf):
         mean = block.mean()
-        dev = np.subtract(block, mean, out=buf.f[:m])
+        dev = np.subtract(block, mean, out=buf.f[: len(block)])
         dev *= dev
-        moments.append((m, mean, dev.sum()))
+        moments.append((len(block), mean, dev.sum()))
     return functools.reduce(_merge, moments)
 
 
-def sample(
-    density: Density, n: int, seed: int, keep_samples: bool = True
-) -> PointerEnsemble:
+def sample(density: Density, n: int, seed: int) -> PointerEnsemble:
     """Draw n pointer readings by inverse-CDF on the tabulated density.
 
     The uniforms are one Philox stream keyed by seed.  Chunks of `_CHUNK`
     draws jump to their own offset in that stream, so they can be filled
-    by one worker process per usable core (`_in_workers`) and the result is
-    the same as a single pass.  Each chunk also returns its count, mean and
-    M2, which are merged in chunk order, so the mean and variance do not
-    depend on the core count either.  The caller fills its chunks of the
-    draws in place and reads the other workers' chunks into theirs.  With
-    keep_samples=False no n-long array is held and `samples` is None; the
-    mean and variance are the same bits either way.
+    by one worker process per usable core (`_in_workers`).  Each chunk is
+    reduced to its count, mean and M2 as it is drawn, and these are merged
+    in chunk order, so the mean and variance do not depend on the core
+    count, and no n-long array is held.
     """
     if n < 1:
         raise ValueError(f"need at least one sample, got n={n}")
-    xs, ps = density.xs, density.ps
-    cdf = np.concatenate(([0.0], np.cumsum((ps[1:] + ps[:-1]) / 2.0 * np.diff(xs))))
-    cdf /= cdf[-1]
-    inverse = _InverseCdf(cdf, xs)
-    draws = np.empty(n) if keep_samples else None
+    inverse = density.inverse
     buf = _Buffers(min(_BLOCK, n))  # each forked worker writes its own copy
 
-    def chunk(i: int, in_caller: bool) -> tuple:
-        lo, hi = i * _CHUNK, min((i + 1) * _CHUNK, n)
-        out = None if draws is None else draws[lo:hi] if in_caller else np.empty(hi - lo)
-        moments = np.array(_fill_chunk(out, lo, hi, seed, inverse, buf))
-        return (moments,) if out is None else (moments, out)
+    def chunk(i: int) -> np.ndarray:
+        return np.array(_fill_chunk(i * _CHUNK, min((i + 1) * _CHUNK, n), seed, inverse, buf))
 
-    def into(i: int) -> tuple:
-        moments = np.empty(3)
-        return (moments,) if draws is None else (moments, draws[i * _CHUNK : (i + 1) * _CHUNK])
-
-    with _in_workers(-(-n // _CHUNK), chunk, into) as chunks:
-        count, mean, m2 = functools.reduce(_merge, (frames[0].tolist() for frames in chunks))
-    return PointerEnsemble(
-        samples=draws,
-        mean=float(mean),
-        variance=float(m2 / count),
-        density=density,
-        postselect_rate=density.rate,
-    )
+    with _in_workers(-(-n // _CHUNK), chunk) as chunks:
+        count, mean, m2 = functools.reduce(_merge, (np.frombuffer(c).tolist() for c in chunks))
+    return PointerEnsemble(float(mean), float(m2 / count), density, density.rate, n, seed)
 
 
 def weak_value_estimate(ens: PointerEnsemble, cfg: PointerConfig) -> float:
@@ -485,11 +470,10 @@ def simulate(
     cfg: PointerConfig,
     n: int,
     seed: int,
-    keep_samples: bool = True,
 ) -> PointerEnsemble:
     """Full pipeline: entangle, post-select, tabulate the density, sample it."""
     amps = _branch_amplitudes(entangle(obs, pre, cfg), post)
-    return sample(pointer_density(amps, cfg), n, seed, keep_samples)
+    return sample(pointer_density(amps, cfg), n, seed)
 
 
 class _TextTables(NamedTuple):
@@ -677,29 +661,30 @@ def _put_index(lo: int, hi: int, out: np.ndarray):
     out[...] = chars.view(np.uint8)
 
 
-def _write_csv(path: str, header: str, values: np.ndarray, first_cols: int, put_first):
-    """Write the header, then per value: put_first's columns, a comma, its repr, \\r\\n.
+def _write_csv(path: str, header: str, n: int, first_cols: int, put_first, values):
+    """Write the header, then n rows: put_first's columns, a comma, a value's repr, \\r\\n.
 
-    Lines end in csv.writer's default \\r\\n.  Each batch of `_WRITE_ROWS`
-    rows is built in one reused uint8 matrix, whose NUL bytes are padding,
-    and written without them.  The batches are formatted by `_in_workers`,
-    whose processes fork before the file is opened.
+    put_first(lo, hi, out) writes the first columns of rows lo..hi-1, and
+    values(lo, hi) returns their floats.  Lines end in csv.writer's default
+    \\r\\n.  Each batch of `_WRITE_ROWS` rows is built in one reused uint8
+    matrix, whose NUL bytes are padding, and written without them.  The
+    batches are formatted by `_in_workers`, whose processes fork before the
+    file is opened.
     """
-    n = len(values)
     rows = np.zeros((min(n, _WRITE_ROWS), first_cols + 1 + _FLOAT_COLS + 2), np.uint8)
     rows[:, first_cols] = ord(",")
     rows[:, -2:] = (ord("\r"), ord("\n"))
 
-    def batch(i: int, in_caller: bool) -> tuple:
+    def batch(i: int) -> np.ndarray:
         lo, hi = i * _WRITE_ROWS, min((i + 1) * _WRITE_ROWS, n)
         text = rows[: hi - lo]
         put_first(lo, hi, text[:, :first_cols])
-        _put_repr(values[lo:hi], text[:, first_cols + 1 : -2])
-        return (text[text != 0],)
+        _put_repr(values(lo, hi), text[:, first_cols + 1 : -2])
+        return text[text != 0]
 
     with _in_workers(-(-n // _WRITE_ROWS), batch) as batches, open(path, "wb") as handle:
         handle.write(header.encode() + b"\r\n")
-        for (text,) in batches:
+        for text in batches:
             handle.write(text)
 
 
@@ -707,11 +692,17 @@ def write_density_csv(density: Density, path: str):
     def put_x(lo, hi, out):
         _put_repr(density.xs[lo:hi], out)
 
-    _write_csv(path, "x,p_x", density.ps, _FLOAT_COLS, put_x)
+    _write_csv(path, "x,p_x", len(density.ps), _FLOAT_COLS, put_x, lambda lo, hi: density.ps[lo:hi])
 
 
 def write_samples_csv(ens: PointerEnsemble, path: str):
-    if ens.samples is None:
-        raise ValueError("ensemble was sampled without keep_samples")
-    digits = len(str(len(ens.samples) - 1))
-    _write_csv(path, "index,x", ens.samples, 4 * -(-digits // 4), _put_index)
+    """Write ens's n draws as `index,x` rows.  Each batch's draws are made again
+    from the stream, by the worker that formats the batch, so no n-long array is held."""
+    # read before the workers fork, so that they share one table
+    inverse, buf = ens.density.inverse, _Buffers(min(_WRITE_ROWS, ens.n))
+
+    def draws(lo, hi):
+        return next(_blocks(lo, hi, ens.seed, inverse, buf))
+
+    digits = len(str(ens.n - 1))
+    _write_csv(path, "index,x", ens.n, 4 * -(-digits // 4), _put_index, draws)

@@ -156,10 +156,20 @@ class Projector:
         """Diagonal projector onto a subset of the basis labels."""
         labels, index = tuple(labels), label_index(labels)
         try:
-            columns = sorted({index[name] for name in subset})
+            rows = [index[name] for name in subset]
         except KeyError as exc:
             raise ValueError(f"unknown basis label {exc.args[0]!r}") from None
-        return cls(np.eye(len(labels))[:, columns], labels)
+        return cls.on_rows(rows, labels)
+
+    @classmethod
+    def on_rows(cls, rows: Sequence[int], labels: Sequence[str]) -> "Projector":
+        """Diagonal projector onto the basis elements at the given positions: their
+        identity columns, in basis order, made without an n x n identity."""
+        rows = sorted(set(rows))
+        q = np.zeros((len(labels), len(rows)), dtype=complex)
+        q[rows, range(len(rows))] = 1.0
+        q.setflags(write=False)
+        return cls._of_checked(q, tuple(labels))
 
     @classmethod
     def identity(cls, labels: Sequence[str]) -> "Projector":

@@ -514,13 +514,16 @@ def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
 
     def resolve_vector(label: str, line: Optional[int], context: str) -> CVec:
         if label in index:
-            return CVec.basis_vector(label, doc.basis, index)
+            return CVec.basis_vector(label, doc.basis)
         if label in states:
             return states[label].vec
         raise ParseError(f"unknown label {label!r} in {context}", line)
 
     projs: dict[str, Projector] = {}
     for pj in doc.projs:
+        if all(a in index for a in pj.args):  # basis labels only: identity columns
+            projs[pj.name] = Projector.on_rows([index[a] for a in pj.args], doc.basis)
+            continue
         line, context = doc.lines.get(pj.name), f"projector {pj.name!r}"
         vecs = [resolve_vector(a, line, context) for a in pj.args]
         projs[pj.name] = Projector.onto(vecs[0]) if pj.kind == "ketbra" else Projector.span(vecs)

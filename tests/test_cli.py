@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from prepost import PointerConfig, entangle, pointer_density, postselect, scenarios, scenfile
+from prepost import cli
 from prepost.cli import main
 from prepost.pointer import _CHUNK
 
@@ -288,6 +289,24 @@ def test_usage_errors_exit_one(capsys, argv, kind):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith(f"error kind={kind} ")
+
+
+def _raise_memory_error(source):
+    raise MemoryError("out of memory")
+
+
+def _allocate_too_much(source):
+    return np.empty(2**58, np.uint8)  # past any address space: fails at once, holding nothing
+
+
+@pytest.mark.parametrize("load", [_raise_memory_error, _allocate_too_much])
+def test_memory_error_gives_one_error_record(capsys, monkeypatch, load):
+    # numpy raises a private MemoryError subclass; the record names the public kind
+    monkeypatch.setattr(cli, "load_scenario", load)
+    code, out, err = run_cli(capsys, "weakvalue", "builtin:three-box", "--obs", "C")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error kind=MemoryError msg=")
 
 
 def test_parse_error_record_has_position(capsys, tmp_path):

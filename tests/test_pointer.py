@@ -16,7 +16,6 @@ from prepost import (
     DimensionError,
     PointerConfig,
     PostSelectionImpossible,
-    PointerEnsemble,
     Projector,
     State,
     abl_probability,
@@ -36,9 +35,11 @@ from prepost import (
 )
 from prepost.scenfile import parse, to_scenario
 
+from prepost import cli
 from prepost import pointer as pointer_module
 from prepost.pointer import (
-    _CHUNK, _FLOAT_COLS, _GUIDE, _WRITE_ROWS, Density, _Buffers, _InverseCdf, _put_repr,
+    _CHUNK, _FLOAT_COLS, _GUIDE, _WRITE_ROWS, Density, _Buffers, _InverseCdf, _put_index,
+    _put_repr, _write_csv,
 )
 
 from conftest import diagonal_scenario_text, random_state_pair
@@ -500,46 +501,66 @@ def test_sample_does_not_depend_on_core_count(monkeypatch, tmp_path):
     _assert_no_child_left()
 
 
-@pytest.mark.parametrize("cores", [1, 4])
 @pytest.mark.parametrize("n", [1, _CHUNK + 1, 3 * _CHUNK + 5])
-def test_moments_do_not_depend_on_keep_samples(monkeypatch, n, cores):
-    _report_cores(monkeypatch, cores)
+def test_draws_and_moments_do_not_depend_on_core_count(monkeypatch, tmp_path, n):
+    # the draws are made again from the stream each time `samples` is read and
+    # in each CSV batch; both must give the one-pass draws, and the moments the
+    # same bits, at any core count.  repr reads back as the same double, so
+    # equal CSV bytes mean equal draws.
+    seed, path, expected = 17, tmp_path / "samples.csv", tmp_path / "expected.csv"
     for delta, coupling in _SAMPLED:
         density = _three_box_density(delta, coupling)
-        kept = sample(density, n, seed=17)
-        dropped = sample(density, n, seed=17, keep_samples=False)
-        assert dropped.samples is None
-        assert (dropped.mean, dropped.variance) == (kept.mean, kept.variance), (delta, coupling)
+        reference = _one_stream_reference(density, n, seed)
+        _write_samples(expected, reference)
+        runs = {}
+        for cores in (1, 4):
+            _report_cores(monkeypatch, cores)
+            ens = runs[cores] = sample(density, n, seed)
+            assert (ens.n, ens.seed) == (n, seed)
+            assert np.array_equal(ens.samples, reference), (delta, coupling, cores)
+            write_samples_csv(ens, str(path))
+            assert path.read_bytes() == expected.read_bytes(), (delta, coupling, cores)
+        assert (runs[4].mean, runs[4].variance) == (runs[1].mean, runs[1].variance)
 
 
 def test_sample_without_keep_samples_holds_no_sample_array(monkeypatch):
-    # one worker holds its block buffers (about 1 MB) whatever n is; kept
-    # samples would add n * 8 bytes
+    # one worker holds its block buffers (about 1 MB) whatever n is; an
+    # n-long sample array would add n * 8 bytes
     _report_cores(monkeypatch, 1)
     density = _three_box_density(10.0)
-    sample(density, 1, seed=0, keep_samples=False)  # numpy.random imports lazily
+    sample(density, 1, seed=0)  # numpy.random imports lazily
     n = 4 * _CHUNK
     tracemalloc.start()
     try:
-        sample(density, n, seed=0, keep_samples=False)
+        sample(density, n, seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < n * 8 / 4
 
 
-def test_samples_csv_needs_kept_samples(tmp_path):
-    ens = sample(_three_box_density(1.0), 10, seed=0, keep_samples=False)
-    path = tmp_path / "samples.csv"
-    with pytest.raises(ValueError, match="ensemble was sampled without keep_samples"):
-        write_samples_csv(ens, str(path))
-    assert not path.exists()
+def test_samples_out_holds_no_sample_array(monkeypatch, capsys):
+    # the whole command, CSV included: each batch of draws is made again where
+    # it is formatted, so the peak does not grow with n
+    _report_cores(monkeypatch, 1)
+    argv = ["simulate", "builtin:three-box", "--obs", "C", "--seed", "5",
+            "--samples-out", os.devnull]
+    assert cli.main(argv + ["--n", "1"]) == 0  # loads what the command imports lazily
+    n = 16 * _CHUNK
+    tracemalloc.start()
+    try:
+        assert cli.main(argv + ["--n", str(n)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == ""
+    assert peak < n * 8 / 4
 
 
 def test_sample_joins_its_workers(monkeypatch, tmp_path):
     _report_cores(monkeypatch, 4)
     recorded = _record_workers(monkeypatch, tmp_path)
-    sample(_three_box_density(1.0), 4 * _CHUNK, seed=3, keep_samples=False)
+    sample(_three_box_density(1.0), 4 * _CHUNK, seed=3)
     assert len(recorded()) == 4
     _assert_no_child_left()
 
@@ -566,30 +587,37 @@ def _count_forks(monkeypatch) -> list:
     return forks
 
 
+def _write_samples(path, values):
+    """`write_samples_csv`'s rows for crafted draws: an index column (four
+    groups of four digits hold any index), then each value's repr."""
+    _write_csv(str(path), "index,x", len(values), 16, _put_index, lambda lo, hi: values[lo:hi])
+
+
 def _csv_case(rows):
-    """A table and an ensemble whose CSV batches mix formatted and fallback values."""
+    """A table and draws whose CSV batches mix formatted and fallback values."""
     mixed = [-0.0, 1 / 3, -2.5e-17, 4.0, 1e22, -7.25, 5e-324, 9.99e-5, 2.0**53, 123.456]
     density = SimpleNamespace(xs=np.resize(mixed[::-1], rows), ps=np.resize(mixed, rows))
-    return PointerEnsemble(np.resize(mixed[3:] + mixed[:3], rows), 0.0, 0.0, density, 1.0)
+    return density, np.resize(mixed[3:] + mixed[:3], rows)
 
 
-def _csv_bytes(ens, tmp_path) -> tuple:
-    write_density_csv(ens.density, str(tmp_path / "density.csv"))
-    write_samples_csv(ens, str(tmp_path / "samples.csv"))
+def _csv_bytes(case, tmp_path) -> tuple:
+    density, draws = case
+    write_density_csv(density, str(tmp_path / "density.csv"))
+    _write_samples(tmp_path / "samples.csv", draws)
     return (tmp_path / "density.csv").read_bytes(), (tmp_path / "samples.csv").read_bytes()
 
 
 @pytest.mark.parametrize("rows", [1, _WRITE_ROWS, 2 * _WRITE_ROWS + 3])
 def test_csv_bytes_do_not_depend_on_core_count(monkeypatch, tmp_path, rows):
-    ens = _csv_case(rows)
+    case = _csv_case(rows)
     forks = _count_forks(monkeypatch)
     _report_cores(monkeypatch, 1)
-    expected = _csv_bytes(ens, tmp_path)
+    expected = _csv_bytes(case, tmp_path)
     batches = -(-rows // _WRITE_ROWS)
     for cores in (2, 3, 4):
         _report_cores(monkeypatch, cores)
         forks.clear()
-        assert _csv_bytes(ens, tmp_path) == expected, cores
+        assert _csv_bytes(case, tmp_path) == expected, cores
         # one worker process per core but the caller's, and one per batch at most
         assert len(forks) == 2 * (min(cores, batches) - 1)
         _assert_no_child_left()
@@ -598,11 +626,11 @@ def test_csv_bytes_do_not_depend_on_core_count(monkeypatch, tmp_path, rows):
 
 def test_no_worker_is_forked_beside_another_thread_or_without_fork(monkeypatch, tmp_path):
     _report_cores(monkeypatch, 4)
-    density, ens = _three_box_density(1.0), _csv_case(2 * _WRITE_ROWS + 3)
+    density, case = _three_box_density(1.0), _csv_case(2 * _WRITE_ROWS + 3)
 
     def outputs():
         drawn = sample(density, 3 * _CHUNK + 5, seed=7)
-        return drawn.samples.tobytes(), drawn.mean, drawn.variance, _csv_bytes(ens, tmp_path)
+        return drawn.samples.tobytes(), drawn.mean, drawn.variance, _csv_bytes(case, tmp_path)
 
     forks = _count_forks(monkeypatch)
     expected = outputs()
@@ -641,7 +669,7 @@ def test_sharp_and_far_branch_means_match_the_closed_form(delta, coupling):
     density = _three_box_density(delta, coupling)
     assert density.mean() == pytest.approx(0.2 * coupling, abs=1e-12)
     n = 10**6
-    ens = sample(density, n, seed=8, keep_samples=False)
+    ens = sample(density, n, seed=8)
     assert abs(ens.mean - 0.2 * coupling) <= 6 * np.sqrt(density.variance() / n)
 
 
@@ -706,7 +734,7 @@ def test_csv_bytes_match_csv_writer(tmp_path):
     rows = 2 * _WRITE_ROWS + 3
     xs = np.resize(mixed[::-1] + [-1.5, 0.1, 1e-300], rows)
     density = SimpleNamespace(xs=xs, ps=np.resize(mixed, rows))  # the writer reads only the table
-    ens = PointerEnsemble(np.resize(mixed, rows), 0.0, 0.0, density, 1.0)
+    draws = np.resize(mixed, rows)
 
     def reference(path, header, rows):
         with open(path, "w", newline="") as handle:
@@ -718,9 +746,9 @@ def test_csv_bytes_match_csv_writer(tmp_path):
     dref = reference(tmp_path / "dref.csv", ["x", "p_x"],
                      ([repr(float(x)), repr(float(p))] for x, p in zip(density.xs, density.ps)))
     sref = reference(tmp_path / "sref.csv", ["index", "x"],
-                     ([i, repr(float(x))] for i, x in enumerate(ens.samples)))
+                     ([i, repr(float(x))] for i, x in enumerate(draws)))
     write_density_csv(density, str(tmp_path / "density.csv"))
-    write_samples_csv(ens, str(tmp_path / "samples.csv"))
+    _write_samples(tmp_path / "samples.csv", draws)
     assert (tmp_path / "density.csv").read_bytes() == dref
     assert (tmp_path / "samples.csv").read_bytes() == sref
     assert b"-0.0" in dref and b"-0.0" in sref
@@ -728,9 +756,8 @@ def test_csv_bytes_match_csv_writer(tmp_path):
 
 @pytest.mark.parametrize("n", [1, 9, 10, 10001])
 def test_samples_csv_index_column(tmp_path, n):
-    ens = PointerEnsemble(np.ones(n), 1.0, 0.0, None, 1.0)
     path = tmp_path / "samples.csv"
-    write_samples_csv(ens, str(path))
+    _write_samples(path, np.ones(n))
     assert path.read_bytes() == b"index,x\r\n" + b"".join(b"%d,1.0\r\n" % i for i in range(n))
 
 

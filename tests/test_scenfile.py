@@ -26,6 +26,8 @@ from prepost.scenfile import (
     to_scenario,
 )
 
+from conftest import diagonal_scenario_text
+
 THREE_BOX_TEXT = """\
 # three boxes, exact surd amplitudes
 basis a b c
@@ -303,6 +305,35 @@ obs O = 1*P + 0*Pc
     p = to_scenario(parse(text)).observables["O"].projector_for(1.0)
     assert p.rank == 2
     assert np.allclose(p.mat.entries, np.diag([1.0, 1.0, 0.0]))
+
+
+def test_label_projectors_are_identity_columns_in_label_order():
+    # a ket-bra or span of basis labels takes exact 0/1 columns, as
+    # Projector.on_labels does: no SVD sign or rounding
+    sc = to_scenario(parse(diagonal_scenario_text(128, np.random.default_rng(5))))
+    ranks = []
+    for obs in sc.observables.values():
+        for proj in obs.projectors:
+            rows = np.flatnonzero(proj.q.any(axis=1))
+            assert np.array_equal(proj.q, np.eye(128)[:, rows])
+            ranks.append(proj.rank)
+    assert sorted(ranks) == [1] * 128 + [42, 86]
+
+
+def test_span_of_a_label_and_a_state_takes_the_svd_route():
+    text = """
+basis a b c
+state psi normalize = 1 a + 2i b
+pre psi
+post psi
+proj P = span(a, psi)
+proj Pc = |c><c|
+obs O = 1*P + 0*Pc
+"""
+    sc = to_scenario(parse(text))
+    p = sc.observables["O"].projector_for(1.0)
+    svd = Projector.span([CVec.basis_vector("a", sc.basis_labels), sc.states["psi"].vec])
+    assert np.array_equal(p.q, svd.q)
 
 
 def test_doc_round_trip_on_builtins():
