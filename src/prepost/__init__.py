@@ -44,7 +44,6 @@ from .histories import (
     abl_probability,
     conditional_weight,
     consistency,
-    history_weight,
 )
 from .scenarios import CheckResult, Expectation, Scenario, builtin, hardy, three_box
 
@@ -112,7 +111,6 @@ __all__ = [
     "entangle",
     "gaussian_amplitude",
     "hardy",
-    "history_weight",
     "inner",
     "parse",
     "pointer_density",

@@ -31,7 +31,7 @@ from .errors import (
     UndefinedWeight,
     UnknownEigenvalue,
 )
-from .histories import abl_probability, conditional_weight
+from .histories import abl_probability, conditional_weight, consistency
 from .quantum import weak_value
 from .scenarios import Scenario
 
@@ -142,7 +142,7 @@ def _cmd_weakvalue(args) -> int:
 def _cmd_consistency(args) -> int:
     sc = load_scenario(args.source)
     _pick_observable(sc, args.obs)
-    report = sc.consistency_for(args.obs)
+    report = consistency(sc.family_for(args.obs))
     results = {
         "command": "consistency",
         "scenario": sc.name,

@@ -1,23 +1,24 @@
 """Two-outcome history families, consistency, ABL probabilities, and weights.
 
-A history is an ordered triple of projector events d -> e -> f at successive
-times (no evolution in between).  A family pairs the history with its
-complement d -> (1-e) -> f, for pure pre- and post-selections |d> and |f>.
-The family is consistent when the interference functional Tr[F E D E']
-vanishes.  For pure endpoints it is <f|E|d><d|(1-E)|f>, which factors as
+A history d -> e -> f runs from a pure pre-selection |d> through a projector
+event e to a pure post-selection |f> at successive times (no evolution in
+between).  A family pairs the history with its complement d -> (1-e) -> f.
+The endpoints are states, so every quantity of the family reads one pair of
+amplitudes, a = <f|E|d> and s = <f|d>.  The family is consistent when the
+interference functional Tr[F E D E'] = a * conj(s - a) vanishes; it factors as
 
     |<f|d>|^2 * wv(e) * conj(wv(1-e))
 
-so consistency holds exactly when the weak value of e is 0 or 1.  The
+so consistency holds exactly when the weak value a/s of e is 0 or 1.  The
 functional scales with the overlap, so the verdict is taken on a scale-free
-measure of it instead (see `consistency`).
+measure of it instead (see `consistency`).  The conditional weight
+Tr[DEFE]/Tr[DF] is |a/s|^2.
 """
 
 from __future__ import annotations
 
 import math
 from enum import Enum
-from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -34,25 +35,16 @@ class FailureMode(Enum):
 
 
 class Family:
-    """Pure pre-selection, middle event e, pure post-selection.
+    """Pure pre-selection d, middle event e, pure post-selection f.
 
-    The two histories pre -> e -> post and pre -> (1-e) -> post share the
-    endpoints and partition the middle time.  The endpoint projectors `d` and
-    `f` are built on first read; `consistency` reads only the states.
+    The two histories d -> e -> f and d -> (1-e) -> f share the endpoints
+    and partition the middle time.
     """
 
-    def __init__(self, pre: State, e: Projector, post: State):
-        check_same_basis(pre.vec, e)
-        check_same_basis(e, post.vec)
-        self.pre, self.e, self.post = pre, e, post
-
-    @cached_property
-    def d(self) -> Projector:
-        return Projector.onto(self.pre)
-
-    @cached_property
-    def f(self) -> Projector:
-        return Projector.onto(self.post)
+    def __init__(self, d: State, e: Projector, f: State):
+        check_same_basis(d.vec, e)
+        check_same_basis(e, f.vec)
+        self.d, self.e, self.f = d, e, f
 
 
 class ConsistencyReport(NamedTuple):
@@ -91,8 +83,8 @@ def consistency(fam: Family) -> ConsistencyReport:
     wv(e) conj(1 - wv(e)), real and positive exactly when wv(e) is real and
     inside (0, 1), or from the functional itself when s = 0.
     """
-    a = fam.e.amplitude(fam.post.vec, fam.pre.vec)
-    overlap = inner(fam.post.vec, fam.pre.vec)
+    a = fam.e.amplitude(fam.f.vec, fam.d.vec)
+    overlap = inner(fam.f.vec, fam.d.vec)
     b = overlap - a
     functional = a * b.conjugate()
     norm = math.hypot(abs(a), abs(b))  # divided out first, so tiny amplitudes do not underflow
@@ -151,24 +143,14 @@ def abl_from_weak_values(wv: complex) -> float:
     return num / (num + abs(1.0 - wv) ** 2)
 
 
-def history_weight(d: Projector, e: Projector, f: Projector) -> float:
-    """Weight Tr[DEFE] of the history d -> e -> f, as the squared Frobenius
-    norm of Q_f^dagger E Q_d (real and non-negative)."""
-    check_same_basis(d, e)
-    check_same_basis(e, f)
-    return float(np.linalg.norm((f.q.conj().T @ e.q) @ (e.q.conj().T @ d.q)) ** 2)
+def conditional_weight(e: Projector, d: State, f: State) -> float:
+    """Multiple-time conditional weight Tr[DEFE]/Tr[DF] of d -> e -> f.
 
-
-def conditional_weight(e: Projector, d: Projector, f: Projector) -> float:
-    """Multiple-time conditional weight Tr[DEFE]/Tr[DF].
-
-    For rank-1 d and f this is |<f|E|d>|^2 / |<f|d>|^2, the squared
-    modulus of the weak value of e.  Not clamped to [0, 1]; it is a
-    probability only on consistent families.
+    For pure endpoints this is |<f|E|d>|^2 / |<f|d>|^2, the squared modulus
+    of the weak value of e.  Not clamped to [0, 1]; it is a probability only
+    on consistent families.
     """
-    num = history_weight(d, e, f)
-    # sqrt Tr[DF] = ||Q_f^dagger Q_d||, which is |<f|d>| for rank-1 d and f.
-    overlap = np.linalg.norm(f.q.conj().T @ d.q)
-    if overlap <= ZERO_TOL:
+    overlap = inner(f.vec, d.vec)
+    if abs(overlap) <= ZERO_TOL:
         raise UndefinedWeight("Tr[DF] vanishes; conditional weight undefined")
-    return float(num / overlap**2)
+    return abs(e.amplitude(f.vec, d.vec) / overlap) ** 2

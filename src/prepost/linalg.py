@@ -28,8 +28,8 @@ NORM_TOL = 1e-10
 #: A state in a scenario file without `normalize` must have norm 1 within this.
 DECLARED_NORM_TOL = 1e-6
 #: A norm, overlap, amplitude or singular value at or below this is zero (orthogonality):
-#: an empty pointer branch, an ABL denominator's sqrt sum |<f|P_i|d>|^2, and a weight
-#: denominator's sqrt Tr[DF] = ||Q_f^dagger Q_d||, |<f|d>| at rank 1.
+#: an empty pointer branch, an ABL denominator's sqrt sum |<f|P_i|d>|^2, and the overlap
+#: |<f|d>| under a weak value or a conditional weight.
 ZERO_TOL = 1e-12
 #: A post-selected pointer density whose rate is at or below this carries no weight.
 ZERO_RATE_TOL = 1e-24

@@ -104,7 +104,8 @@ def entangle(obs: Observable, pre: State, cfg: PointerConfig) -> Branches:
     """
     x = obs.in_eigenbasis(pre.vec)  # ||P_k|pre>|| is the norm of block k of V^dagger pre
     kept = np.flatnonzero(np.sqrt(np.add.reduceat(np.abs(x) ** 2, obs.bounds[:-1])) > ZERO_TOL)
-    centers = cfg.x0 + cfg.coupling * np.array(obs.eigenvalues)[kept]
+    with np.errstate(over="ignore"):  # an infinite centre is reported by Density's reach check
+        centers = cfg.x0 + cfg.coupling * np.array(obs.eigenvalues)[kept]
     return Branches(centers, kept, obs, pre)
 
 

@@ -134,9 +134,8 @@ class Projector:
         return tuple(vals)
 
     @classmethod
-    def onto(cls, target: Union[State, CVec]) -> "Projector":
+    def onto(cls, vec: CVec) -> "Projector":
         """Rank-one projector |v><v| onto a (normalized) vector."""
-        vec = target.vec if isinstance(target, State) else target
         norm = vec.norm()
         if norm <= ZERO_TOL:
             raise ValueError("cannot project onto the zero vector")

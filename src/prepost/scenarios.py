@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import ScenarioFixtureError, UnknownEigenvalue
 from .histories import (
-    ConsistencyReport,
     FailureMode,
     Family,
     abl_probability,
@@ -96,9 +95,6 @@ class Scenario:
         """Family with the observable's eigenvalue-1 projector as the event."""
         return Family(self.pre, self._eigenvalue_one_projector(obs_name), self.post)
 
-    def consistency_for(self, obs_name: str) -> ConsistencyReport:
-        return consistency(self.family_for(obs_name))
-
     def check_all(self) -> list[CheckResult]:
         """Recompute every expected entry; `verify` reports each result."""
         results = []
@@ -129,7 +125,7 @@ class Scenario:
             got = conditional_weight(fam.e, fam.d, fam.f)
             return complex(got), True, ""
         if exp.kind == "functional":
-            report = self.consistency_for(exp.observable)
+            report = consistency(self.family_for(exp.observable))
             ok = exp.failure is None or report.failure_mode == exp.failure
             return report.functional, ok, f" (mode {report.failure_mode.value})"
         if exp.kind == "overlap_sq":

@@ -74,7 +74,7 @@ def test_criterion_04_hardy_numbers(acceptance):
         for name, want in expected.items()
     )
     overlap = weak_value(sc.observables["N1"], sc.pre, sc.post).overlap
-    report = sc.consistency_for("N1")
+    report = consistency(sc.family_for("N1"))
     ok = (
         dev <= 1e-12
         and abs(abs(overlap) ** 2 - 1.0 / 12.0) <= 1e-12

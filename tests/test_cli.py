@@ -240,8 +240,7 @@ def test_verify_reports_a_failing_fixture(capsys, monkeypatch):
     # |wv| equals the weight |wv|^2 = 1 of every builtin fixture, so the wrong
     # weight here is the signed weak value: weight_C reads -1 against 1
     def signed_weight(e, d, f):
-        f_d = f.q.conj().T @ d.q
-        return ((f.q.conj().T @ e.q @ (e.q.conj().T @ d.q)) / f_d).item().real
+        return (e.amplitude(f.vec, d.vec) / np.vdot(f.vec.amps, d.vec.amps)).real
 
     monkeypatch.setattr(scenarios, "conditional_weight", signed_weight)
     code, out, err = run_cli(capsys, "verify", "builtin:three-box")
@@ -429,6 +428,19 @@ def test_simulate_prints_no_warnings(flags):
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+@pytest.mark.parametrize("warnings", [(), ("-W", "error")])
+def test_overflowing_pointer_centre_gives_one_error_record(warnings):
+    proc = subprocess.run(
+        [sys.executable, *warnings, "-m", "prepost", "simulate", "builtin:three-box",
+         "--obs", "C", "--x0", "1.7e308", "--coupling", "1e308", "--n", "10"],
+        capture_output=True,
+        text=True,
+    )
+    assert (proc.returncode, proc.stdout) == (1, "")
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error kind=PointerRangeError "), lines
 
 
 #: Imports numpy, then the CLI, and runs it in-process when given arguments;

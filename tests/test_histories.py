@@ -15,7 +15,6 @@ from prepost import (
     as_observable,
     conditional_weight,
     consistency,
-    history_weight,
     spectral_decompose,
     three_box,
     weak_value,
@@ -39,18 +38,23 @@ def _three_box_family(obs_name="C"):
 
 
 def test_history_requires_matching_dimensions():
-    d2 = Projector.identity(("a", "b"))
-    d3 = Projector.identity(("x", "y", "z"))
-    with pytest.raises(DimensionError):
-        history_weight(d2, d3, d2)
-    with pytest.raises(BasisMismatch):
-        history_weight(d2, d2, Projector.identity(("a", "c")))
+    e = Projector.identity(("a", "b"))
+    d = State(CVec.basis_vector("a", ("a", "b")))
+    d3 = State(CVec.basis_vector("x", ("x", "y", "z")))
+    other = State(CVec.basis_vector("a", ("a", "c")))
+    for mismatch, f in ((DimensionError, d3), (BasisMismatch, other)):
+        with pytest.raises(mismatch):
+            Family(d, e, f)
+        with pytest.raises(mismatch):
+            conditional_weight(e, d, f)
+    with pytest.raises(DimensionError):  # endpoints that agree, on another basis than e
+        conditional_weight(e, d3, d3)
 
 
 def test_family_checks_bases_and_builds_endpoints_only_when_read():
     sc, fam = _three_box_family()
     consistency(fam)
-    assert "d" not in vars(fam) and "f" not in vars(fam)
+    assert vars(fam) == {"d": sc.pre, "e": fam.e, "f": sc.post}  # the endpoints are the states
     with pytest.raises(DimensionError):
         Family(sc.pre, Projector.identity(("a", "b")), sc.post)
     with pytest.raises(BasisMismatch):
@@ -61,7 +65,6 @@ def test_family_complement_partitions_identity():
     sc, fam = _three_box_family()
     total = fam.e.mat.entries + fam.e.complement().mat.entries
     assert np.allclose(total, np.eye(3))
-    assert fam.d.rank == 1 and fam.f.rank == 1
 
 
 def test_box_c_family_is_inconsistent_and_strange():
@@ -148,7 +151,7 @@ def test_projectors_stay_columns_until_mat_is_read(rng):
     abl_probability(obs, pre, post, obs.eigenvalues[0])
     consistency(fam)
     conditional_weight(fam.e, fam.d, fam.f)
-    for p in (*obs.projectors, fam.d, fam.f):
+    for p in obs.projectors:
         assert "mat" not in vars(p)
 
 
@@ -216,29 +219,6 @@ def test_abl_routes_agree_for_projector_outcomes(rng):
         assert abl_from_weak_values(wv) == pytest.approx(direct, abs=1e-10)
 
 
-def test_history_weight_identity_is_dimension():
-    ident = Projector.identity(("a", "b", "c"))
-    assert history_weight(ident, ident, ident) == pytest.approx(3.0)
-
-
-def test_history_weight_three_box_transition():
-    sc = three_box()
-    w = history_weight(
-        Projector.onto(sc.pre),
-        sc.observables["C"].projector_for(1.0),
-        Projector.onto(sc.post),
-    )
-    assert w == pytest.approx(1.0 / 9.0, abs=1e-12)
-
-
-def test_history_weight_vanishes_for_blocked_event(rng):
-    pre = random_state(rng, 4)
-    e = projector_orthogonal_to(rng, pre.vec)
-    f = Projector.onto(random_state(rng, 4))
-    w = history_weight(Projector.onto(pre), e, f)
-    assert w == pytest.approx(0.0, abs=1e-12)
-
-
 def test_conditional_weight_three_box_is_unity():
     sc = three_box()
     for name in ("A", "B", "C"):
@@ -251,14 +231,14 @@ def test_conditional_weight_three_box_is_unity():
 def test_conditional_weight_zero_weak_value(rng):
     pre, post = random_state_pair(rng, 4)
     e = projector_orthogonal_to(rng, pre.vec)
-    w = conditional_weight(e, Projector.onto(pre), Projector.onto(post))
+    w = conditional_weight(e, pre, post)
     assert w == pytest.approx(0.0, abs=1e-10)
 
 
 def test_conditional_weight_requires_overlapping_endpoints():
     labels = ("a", "b")
-    d = Projector.onto(CVec.basis_vector("a", labels))
-    f = Projector.onto(CVec.basis_vector("b", labels))
+    d = State(CVec.basis_vector("a", labels))
+    f = State(CVec.basis_vector("b", labels))
     e = Projector.identity(labels)
     with pytest.raises(UndefinedWeight):
         conditional_weight(e, d, f)
@@ -274,21 +254,14 @@ def test_weight_and_weak_value_share_one_zero_test():
     e = Projector.onto(CVec.basis_vector("a", labels))
     wv = weak_value(e, pre, post).value
     assert wv == pytest.approx(1.0, abs=1e-12)
-    weight = conditional_weight(e, Projector.onto(pre), Projector.onto(post))
+    weight = conditional_weight(e, pre, post)
     assert weight == pytest.approx(abs(wv) ** 2, abs=1e-12)
     assert weight == pytest.approx(1.0, abs=1e-12)
     abl = abl_probability(as_observable(e), pre, post, 1.0)
     assert abl == pytest.approx(abl_from_weak_values(wv), abs=1e-12)
     assert abl == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(UndefinedWeight):  # an exactly orthogonal pair still has none
-        conditional_weight(e, Projector.onto(pre), Projector.onto(CVec.basis_vector("b", labels)))
-
-
-def test_conditional_weight_accepts_higher_rank_endpoints():
-    labels = ("a", "b")
-    ident = Projector.identity(labels)
-    e = Projector.onto(CVec.basis_vector("a", labels))
-    assert conditional_weight(e, ident, ident) == pytest.approx(0.5)
+        conditional_weight(e, pre, State(CVec.basis_vector("b", labels)))
 
 
 def test_conditional_weight_is_squared_weak_value(rng):
@@ -297,12 +270,12 @@ def test_conditional_weight_is_squared_weak_value(rng):
         pre, post = random_state_pair(rng, dim)
         e = random_projector(rng, dim)
         wv = weak_value(e, pre, post).value
-        w = conditional_weight(e, Projector.onto(pre), Projector.onto(post))
+        w = conditional_weight(e, pre, post)
         assert w == pytest.approx(abs(wv) ** 2, abs=1e-10)
 
 
 def _abl_and_weight(fam):
-    abl = abl_from_weak_values(weak_value(fam.e, fam.pre, fam.post).value)
+    abl = abl_from_weak_values(weak_value(fam.e, fam.d, fam.f).value)
     return abl, conditional_weight(fam.e, fam.d, fam.f)
 
 
@@ -379,13 +352,19 @@ def test_consistency_holds_exactly_at_weak_values_0_and_1_at_every_overlap():
         weight = conditional_weight(fam.e, fam.d, fam.f)
         assert weight == pytest.approx(abs(wv) ** 2, rel=1e-9, abs=1e-12)
         obs = as_observable(fam.e)
-        abl = abl_probability(obs, fam.pre, fam.post, 1.0)
+        abl = abl_probability(obs, fam.d, fam.f, 1.0)
         assert abl == pytest.approx(abl_from_weak_values(wv), rel=1e-9, abs=1e-12)
+        # ABL renormalises the two histories' weights, whose sum misses 1 by the
+        # functional: |a|^2 + |s-a|^2 = |s|^2 - 2 Re(a conj(s-a)), with s = <f|d>
+        weight_c = conditional_weight(fam.e.complement(), fam.d, fam.f)
+        assert abl == pytest.approx(weight / (weight + weight_c), rel=1e-9, abs=1e-12)
+        assert weight + weight_c == pytest.approx(
+            1.0 - 2.0 * report.functional.real / report.factor_overlap_sq, rel=1e-9, abs=1e-12)
         # the pointer mean reads Re A_w for a wide pointer and the ABL mean for a narrow one
         for delta, mean in ((1e4, pytest.approx(wv.real, abs=1e-6)),
                             (1e-3, pytest.approx(abl, rel=1e-9, abs=1e-12))):
             cfg = PointerConfig(delta)
-            amps, _ = postselect(entangle(obs, fam.pre, cfg), fam.post, cfg)
+            amps, _ = postselect(entangle(obs, fam.d, cfg), fam.f, cfg)
             assert Density(amps, delta).mean() == mean, (dim, overlap, wv, delta)
         seen.add((mode, abs(overlap) < 1e-5))
         trials += 1

@@ -12,9 +12,11 @@ from scipy.integrate import quad
 
 from prepost import (
     BasisMismatch,
+    CMat,
     CVec,
     DimensionError,
     PointerConfig,
+    PointerRangeError,
     PostSelectionImpossible,
     Projector,
     State,
@@ -26,6 +28,7 @@ from prepost import (
     postselect,
     sample,
     simulate,
+    spectral_decompose,
     three_box,
     hardy,
     weak_value,
@@ -143,6 +146,18 @@ def test_entangle_dimension_mismatch():
     sc = three_box()
     with pytest.raises(DimensionError):
         entangle(sc.observables["A"], State.normalized(np.ones(2)), PointerConfig(delta=1.0))
+
+
+def test_overflowing_centres_are_one_pointer_range_error():
+    # x0 + coupling * lambda overflows in the add (three-box C, eigenvalue 1) or in
+    # the multiply (eigenvalue 2); pytest turns a numpy RuntimeWarning into an error
+    sc = three_box()
+    doubled = spectral_decompose(CMat(np.diag([0.0, 2.0, 0.0]), sc.basis_labels))
+    for obs, cfg in ((sc.observables["C"], PointerConfig(delta=10.0, x0=1.7e308, coupling=1e308)),
+                     (doubled, PointerConfig(delta=10.0, coupling=1e308))):
+        assert np.isinf(entangle(obs, sc.pre, cfg).centers).any()
+        with pytest.raises(PointerRangeError):
+            simulate(obs, sc.pre, sc.post, cfg, n=10, seed=0)
 
 
 def test_postselect_three_box_amplitudes():
@@ -280,7 +295,7 @@ def test_wide_pointer_mean_approaches_weak_value(rng):
         dim = int(rng.integers(2, 5))
         pre, post = random_state_pair(rng, dim, min_overlap=0.2, real=True)
         p = Projector.onto(
-            State.normalized(rng.standard_normal(dim), pre.labels)
+            State.normalized(rng.standard_normal(dim), pre.labels).vec
         )
         wv = weak_value(p, pre, post).value
         if abs(wv) > 3.0:

@@ -8,6 +8,7 @@ from prepost import (
     State,
     WeakValueClass,
     builtin,
+    consistency,
     hardy,
     inner,
     three_box,
@@ -77,7 +78,7 @@ def test_consistency_for_and_family_for():
     sc = three_box()
     fam = sc.family_for("C")
     assert fam.e.rank == 1
-    report = sc.consistency_for("C")
+    report = consistency(sc.family_for("C"))
     assert report.failure_mode is FailureMode.STRANGE
 
 
