@@ -20,7 +20,6 @@ import functools
 import math
 import os
 import pickle
-import struct
 import sys
 from typing import Callable, Iterator, NamedTuple, Sequence
 
@@ -238,26 +237,20 @@ def _usable_cores() -> int:
         return os.cpu_count() or 1
 
 
-#: Each item a worker process sends starts with its length in bytes, as an
-#: 8-byte little-endian integer; a negative length -m announces m bytes of
-#: the pickled exception that stopped the worker.
-_LENGTH = struct.Struct("<q")
-
-
 @contextlib.contextmanager
-def _in_workers(count: int, work: Callable[[int], np.ndarray]) -> Iterator[Iterator]:
+def _in_workers(count: int, work: Callable[[int], object]) -> Iterator[Iterator]:
     """Run work(i) for i in range(count) on W workers; yield the results in order.
 
-    work returns an item as one contiguous array.  W = min(usable cores,
-    count), or 1 where os.fork is missing or another Python thread runs (a
-    forked child could deadlock on a lock that thread holds).  Item i runs
-    in worker i mod W.  Worker 0 is the caller, which runs its items as they
-    are consumed.  Workers 1..W-1 are forked on entry, before the caller
-    opens anything; each sends its items, one at a time, through a pipe of
-    its own and ends with os._exit.  The caller reads a child's item into a
-    new bytearray, and raises a child's exception when it reaches that item.
-    On leaving, every pipe is closed before any child is waited for, so a
-    child blocked on a full pipe stops and none outlives the call.
+    W = min(usable cores, count), or 1 where os.fork is missing or another
+    Python thread runs (a forked child could deadlock on a lock that thread
+    holds).  Item i runs in worker i mod W.  Worker 0 is the caller, which
+    runs its items as they are consumed.  Workers 1..W-1 are forked on
+    entry, before the caller opens anything; each pickles its items, or the
+    exception that stopped it, into a pipe of its own and ends with
+    os._exit.  Pickle is the only format on a pipe: the caller loads a
+    child's items in order and raises a child's exception at that item.  On
+    leaving, every pipe is closed before any child is waited for, so a child
+    blocked on a full pipe stops and none outlives the call.
     """
     workers = min(_usable_cores(), count)
     threading = sys.modules.get("threading")  # no Python thread runs before it is loaded
@@ -270,21 +263,23 @@ def _in_workers(count: int, work: Callable[[int], np.ndarray]) -> Iterator[Itera
             if i % workers == 0:
                 yield work(i)
                 continue
-            pipe = pipes[i % workers - 1]
-            length = _LENGTH.unpack(_read_into(pipe, bytearray(_LENGTH.size)))[0]
-            if length < 0:
-                raise pickle.loads(_read_into(pipe, bytearray(-length)))
-            yield _read_into(pipe, bytearray(length))
+            try:
+                item = pickle.load(pipes[i % workers - 1])
+            except (EOFError, pickle.UnpicklingError):
+                raise ChildProcessError("a worker process ended before sending its items") from None
+            if isinstance(item, BaseException):
+                raise item
+            yield item
 
     try:
         for k in range(1, workers):
             import fcntl  # POSIX, as os.fork is
 
             r, w = os.pipe()
-            pipes.append(open(r, "rb", buffering=0))
+            pipes.append(open(r, "rb"))
             with contextlib.suppress(AttributeError, OSError):  # Linux, up to its pipe limit
                 fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-            with open(w, "wb", buffering=0) as end:
+            with open(w, "wb") as end:
                 pid = os.fork()
                 if pid == 0:
                     for pipe in pipes:
@@ -299,13 +294,14 @@ def _in_workers(count: int, work: Callable[[int], np.ndarray]) -> Iterator[Itera
             os.waitpid(pid, 0)
 
 
-def _serve(end, items: range, work: Callable[[int], np.ndarray]):
-    """A child's loop: send each item's length and bytes through end, or the
-    exception that stopped it.  Never returns."""
+def _serve(end, items: range, work: Callable[[int], object]):
+    """A child's loop: pickle each item, or the exception that stopped it, into
+    end, flushing after each.  Each is pickled whole before any of it is written,
+    so no partial pickle goes ahead of an exception.  Never returns."""
     try:
         for i in items:
-            item = memoryview(work(i)).cast("B")
-            _send(end, _LENGTH.pack(item.nbytes), item)
+            end.write(pickle.dumps(work(i)))
+            end.flush()
         os._exit(0)
     except BaseException as exc:  # ends here: a child must never unwind into the caller's frames
         try:
@@ -313,27 +309,10 @@ def _serve(end, items: range, work: Callable[[int], np.ndarray]):
         except Exception:
             text = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
         with contextlib.suppress(OSError):  # the caller has gone, and raises its own error
-            _send(end, _LENGTH.pack(-len(text)), text)
+            end.write(text)
+            end.flush()
     finally:
         os._exit(1)
-
-
-def _send(end, *buffers):
-    for buffer in buffers:
-        view = memoryview(buffer)
-        while view:
-            view = view[end.write(view):]
-
-
-def _read_into(pipe, buffer):
-    """Fill buffer from pipe, and return it."""
-    view = memoryview(buffer).cast("B")
-    while view:
-        got = pipe.readinto(view)
-        if not got:
-            raise ChildProcessError("a worker process ended before sending its items")
-        view = view[got:]
-    return buffer
 
 
 class _InverseCdf:
@@ -451,11 +430,11 @@ def sample(density: Density, n: int, seed: int) -> PointerEnsemble:
     inverse = density.inverse
     buf = _Buffers(min(_BLOCK, n))  # each forked worker writes its own copy
 
-    def chunk(i: int) -> np.ndarray:
-        return np.array(_fill_chunk(i * _CHUNK, min((i + 1) * _CHUNK, n), seed, inverse, buf))
+    def chunk(i: int) -> tuple:
+        return _fill_chunk(i * _CHUNK, min((i + 1) * _CHUNK, n), seed, inverse, buf)
 
     with _in_workers(-(-n // _CHUNK), chunk) as chunks:
-        count, mean, m2 = functools.reduce(_merge, (np.frombuffer(c).tolist() for c in chunks))
+        count, mean, m2 = functools.reduce(_merge, chunks)
     return PointerEnsemble(float(mean), float(m2 / count), density, density.rate, n, seed)
 
 
@@ -676,12 +655,12 @@ def _write_csv(path: str, header: str, n: int, first_cols: int, put_first, value
     rows[:, first_cols] = ord(",")
     rows[:, -2:] = (ord("\r"), ord("\n"))
 
-    def batch(i: int) -> np.ndarray:
+    def batch(i: int) -> bytes:
         lo, hi = i * _WRITE_ROWS, min((i + 1) * _WRITE_ROWS, n)
         text = rows[: hi - lo]
         put_first(lo, hi, text[:, :first_cols])
         _put_repr(values(lo, hi), text[:, first_cols + 1 : -2])
-        return text[text != 0]
+        return text[text != 0].tobytes()
 
     with _in_workers(-(-n // _WRITE_ROWS), batch) as batches, open(path, "wb") as handle:
         handle.write(header.encode() + b"\r\n")

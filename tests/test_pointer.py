@@ -591,6 +591,53 @@ def test_sample_raises_a_chunk_failure(monkeypatch, tmp_path, where):
     _assert_no_child_left()
 
 
+class _Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this exception does not pickle")
+
+
+def test_an_unpicklable_worker_exception_arrives_as_its_type_and_message(monkeypatch):
+    # two workers: the child sends chunk 1 whole, then fails on chunk 3; the
+    # caller reads chunk 1 and then the stand-in, with nothing in between
+    _report_cores(monkeypatch, 2)
+    caller, real_fill = os.getpid(), pointer_module._fill_chunk
+
+    def failing_fill(lo, *args):
+        if os.getpid() != caller and lo == 3 * _CHUNK:
+            raise _Unpicklable("injected chunk failure")
+        return real_fill(lo, *args)
+
+    monkeypatch.setattr(pointer_module, "_fill_chunk", failing_fill)
+    with pytest.raises(RuntimeError, match="^_Unpicklable: injected chunk failure$") as raised:
+        sample(_three_box_density(1.0), 4 * _CHUNK, seed=3)
+    assert type(raised.value) is RuntimeError
+    _assert_no_child_left()
+
+
+def test_a_worker_that_ends_without_sending_is_a_child_process_error(monkeypatch, tmp_path):
+    _report_cores(monkeypatch, 3)
+    caller, real_fill = os.getpid(), pointer_module._fill_chunk
+
+    def exit_in_child(*args):
+        if os.getpid() != caller:
+            os._exit(0)
+        return real_fill(*args)
+
+    monkeypatch.setattr(pointer_module, "_fill_chunk", exit_in_child)
+    with pytest.raises(ChildProcessError, match="^a worker process ended before sending its items$"):
+        sample(_three_box_density(1.0), 3 * _CHUNK, seed=3)
+    _assert_no_child_left()
+
+    def values(lo, hi):
+        if os.getpid() != caller:
+            os._exit(0)
+        return np.full(hi - lo, 0.5)
+
+    with pytest.raises(ChildProcessError, match="^a worker process ended before sending its items$"):
+        _write_csv(str(tmp_path / "x.csv"), "index,x", 3 * _WRITE_ROWS, 16, _put_index, values)
+    _assert_no_child_left()
+
+
 def _count_forks(monkeypatch) -> list:
     forks, real_fork = [], os.fork
 
