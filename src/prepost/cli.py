@@ -54,6 +54,15 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    # No option looks like a number, so a "-" token that float() reads is a value:
+    # argparse's own pattern (Python 3.10-3.12) takes "-1e-3" for an option.
+    def _parse_optional(self, arg_string):
+        try:
+            float(arg_string)
+        except ValueError:
+            return super()._parse_optional(arg_string)
+        return None
+
 
 def _fmt_float(x: float) -> str:
     if x == 0:
@@ -106,7 +115,7 @@ def load_scenario(source: str) -> Scenario:
         raise UsageError(f"no such scenario file: {source}")
     from . import scenfile  # only file sources parse, so builtins never load it
 
-    data = path.read_bytes()
+    data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # one UTF-8 BOM, as editors save it
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -199,6 +208,9 @@ def _cmd_simulate(args) -> int:
         raise UsageError(f"--n must be at least 1, got {args.n}")
     if not 0 <= args.seed < 2**128:
         raise UsageError(f"--seed must be in [0, 2**128), got {args.seed}")
+    outs = (args.samples_out, args.density_out)
+    if all(outs) and os.path.realpath(outs[0]) == os.path.realpath(outs[1]):
+        raise UsageError(f"--samples-out and --density-out name one file: {outs[0]}")
     try:
         cfg = pointer.PointerConfig(delta=args.delta, x0=args.x0, coupling=args.coupling)
     except ValueError as exc:

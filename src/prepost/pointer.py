@@ -74,8 +74,8 @@ class PointerConfig:
             raise ValueError(f"delta must be positive and finite, got {delta}")
         if not math.isfinite(x0):
             raise ValueError(f"x0 must be finite, got {x0}")
-        if not (math.isfinite(coupling) and coupling != 0):
-            raise ValueError(f"coupling must be non-zero and finite, got {coupling}")
+        if not (math.isfinite(coupling) and coupling != 0 and math.isfinite(1.0 / coupling)):
+            raise ValueError(f"coupling must be finite with a finite reciprocal, got {coupling}")
         self.delta, self.x0, self.coupling = delta, x0, coupling
 
 
@@ -101,8 +101,8 @@ def entangle(obs: Observable, pre: State, cfg: PointerConfig) -> Branches:
     center x0 + coupling * lambda.  Branches of norm at most ZERO_TOL are
     dropped, so an eigenstate input yields a single branch of norm 1.
     """
-    x = obs.in_eigenbasis(pre.vec)  # ||P_k|pre>|| is the norm of block k of V^dagger pre
-    kept = np.flatnonzero(np.sqrt(np.add.reduceat(np.abs(x) ** 2, obs.bounds[:-1])) > ZERO_TOL)
+    # ||P_k|pre>|| = sqrt <pre|P_k|pre>, read from the amplitudes the post-selection reads
+    kept = np.flatnonzero(np.sqrt(obs.amplitudes(pre.vec, pre.vec).real) > ZERO_TOL)
     with np.errstate(over="ignore"):  # an infinite centre is reported by Density's reach check
         centers = cfg.x0 + cfg.coupling * np.array(obs.eigenvalues)[kept]
     return Branches(centers, kept, obs, pre)

@@ -65,6 +65,16 @@ class State:
         return cls(vec.unit(), label)
 
 
+def _amplitudes(op: OperatorLike, cols: np.ndarray, starts, bra: CVec, ket: CVec) -> np.ndarray:
+    """<bra|P_k|ket> for each block k of op's orthonormal columns Q, from starts[k] to the
+    next start: block sums of conj(Q^dagger bra) (Q^dagger ket), in O(n r), with Q^dagger x =
+    conj(Q^T conj(x)), which copies no column matrix.  No columns give one zero."""
+    check_same_basis(op, bra)
+    check_same_basis(op, ket)
+    terms = (cols.T @ bra.amps.conj()) * (cols.T @ ket.amps.conj()).conj()
+    return np.add.reduceat(terms, starts) if terms.size else np.zeros(len(starts), complex)
+
+
 class Projector:
     """Orthogonal projector QQ^dagger, held as orthonormal columns Q (n x r).
 
@@ -109,11 +119,8 @@ class Projector:
         return CVec(self.q @ (self.q.conj().T @ vec.amps), vec.labels)
 
     def amplitude(self, bra: CVec, ket: CVec) -> complex:
-        """<bra|P|ket>, computed as (Q^dagger bra)^dagger (Q^dagger ket)."""
-        check_same_basis(self, bra)
-        check_same_basis(self, ket)
-        qh = self.q.conj().T
-        return complex(np.vdot(qh @ bra.amps, qh @ ket.amps))
+        """<bra|P|ket>: `_amplitudes` of the columns as one block."""
+        return complex(_amplitudes(self, self.q, (0,), bra, ket)[0])
 
     def complement(self) -> "Projector":
         """Projector onto the orthogonal complement of the range."""
@@ -265,15 +272,9 @@ class Observable:
         lams = np.repeat(self.eigenvalues, np.diff(self.bounds))
         return CMat((self.v * lams) @ self.v.conj().T, self.labels)
 
-    def in_eigenbasis(self, vec: CVec) -> np.ndarray:
-        """V^dagger vec: the amplitudes of vec along the columns of `v`."""
-        check_same_basis(self, vec)
-        return (self.v.T @ vec.amps.conj()).conj()  # conj(V^T conj(vec)), copying no n x n array
-
     def amplitudes(self, bra: CVec, ket: CVec) -> np.ndarray:
-        """<bra|P_k|ket> for each eigenvalue k, in O(n^2) for the whole spectrum."""
-        terms = self.in_eigenbasis(bra).conj() * self.in_eigenbasis(ket)
-        return np.add.reduceat(terms, self.bounds[:-1])
+        """<bra|P_k|ket> for each eigenvalue k, `_amplitudes` of the blocks of `v`: O(n^2)."""
+        return _amplitudes(self, self.v, self.bounds[:-1], bra, ket)
 
     def outcome_index(self, outcome: float) -> int:
         """Position of the eigenvalue that matches outcome within the spectrum's
@@ -362,9 +363,8 @@ def weak_value(op: OperatorLike, pre: State, post: State) -> WeakValueReport:
         )
     if isinstance(op, Projector):
         numerator, eigenvalues = op.amplitude(post.vec, pre.vec), op.eigenvalue_set()
-    else:
-        # sum_j lambda_j conj(y_j) x_j, with x and y the eigenbasis amplitudes of pre and post
-        x = op.in_eigenbasis(pre.vec) * np.repeat(op.eigenvalues, np.diff(op.bounds))
-        numerator, eigenvalues = complex(np.vdot(op.in_eigenbasis(post.vec), x)), op.eigenvalues
+    else:  # sum_k lambda_k <post|P_k|pre>
+        numerator = complex(np.dot(op.eigenvalues, op.amplitudes(post.vec, pre.vec)))
+        eigenvalues = op.eigenvalues
     value = numerator / overlap
     return WeakValueReport(value, classify(value, eigenvalues), overlap)

@@ -290,6 +290,83 @@ def test_usage_errors_exit_one(capsys, argv, kind):
     assert err.startswith(f"error kind={kind} ")
 
 
+@pytest.mark.parametrize(
+    "argv, option",
+    [(("abl", "builtin:three-box", "--obs", "C"), "--outcome"),
+     (SIMULATE, "--delta"), (SIMULATE, "--x0"), (SIMULATE, "--coupling")],
+)
+@pytest.mark.parametrize("value", ["-1e-3", "-2E3", "-0e0", "-.5e1", "-inf"])
+def test_negative_values_in_exponent_notation_parse_as_after_equals(capsys, argv, option, value):
+    # argparse's own negative-number pattern (Python 3.10-3.12) took "-1e-3" for an option
+    joined = run_cli(capsys, *argv, f"{option}={value}")
+    assert run_cli(capsys, *argv, option, value) == joined
+    assert "expected one argument" not in joined[2]
+
+
+@pytest.mark.parametrize("coupling, code", [("1e-320", 1), ("-1e-320", 1), ("1e-300", 0)])
+def test_coupling_needs_a_finite_reciprocal(capsys, coupling, code):
+    # the estimate divides by the coupling: 1/1e-320 overflowed to an estimate of -inf
+    got, out, err = run_cli(capsys, *SIMULATE, "--coupling", coupling)
+    assert got == code
+    if code:
+        assert out == "" and len(err.splitlines()) == 1
+        assert err.startswith("error kind=Usage msg=\"coupling must be finite")
+    else:
+        assert err == "" and np.isfinite(float(kv(out)["estimate"]))
+
+
+def test_samples_and_density_naming_one_file_is_a_usage_error(capsys, tmp_path, monkeypatch):
+    # the samples overwrote the density; now nothing is sampled or written
+    from prepost import pointer
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(pointer, "simulate", None)  # a call would raise TypeError
+    code, out, err = run_cli(capsys, *SIMULATE, "--samples-out", "x.csv", "--density-out", "./x.csv")
+    assert (code, out) == (1, "")
+    assert err == 'error kind=Usage msg="--samples-out and --density-out name one file: x.csv"\n'
+    assert not (tmp_path / "x.csv").exists()
+
+
+#: The README's three-box scenario file.
+_README_THREE_BOX = """\
+# three boxes
+basis a b c
+state psi = (1/sqrt(3)) a + (1/sqrt(3)) b + (1/sqrt(3)) c
+state phi = (1/sqrt(3)) a + (1/sqrt(3)) b - (1/sqrt(3)) c
+pre psi
+post phi
+proj PC = |c><c|
+proj PCc = span(a, b)
+obs C = 1*PC + 0*PCc
+"""
+
+
+@pytest.mark.parametrize("argv", [("weakvalue", "--obs", "C"), ("abl", "--obs", "C", "--outcome", "1"),
+                                  ("consistency", "--obs", "C"), ("verify",)])
+def test_a_leading_byte_order_mark_is_read_past(capsys, tmp_path, argv):
+    # Windows editors save UTF-8 with a BOM, which the parser took for an unexpected character
+    outs = []
+    for folder, bom in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        path = tmp_path / folder / "boxes.scn"
+        path.parent.mkdir()
+        path.write_bytes(bom + _README_THREE_BOX.encode())
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+
+
+def test_a_byte_order_mark_is_stripped_once_and_not_counted(capsys, tmp_path):
+    path = tmp_path / "bad.scn"
+    path.write_bytes(b"\xef\xbb\xbf" + "# café ".encode() + b"\xff")
+    _, _, err = run_cli(capsys, "weakvalue", str(path), "--obs", "C")
+    assert err == 'error kind=ParseError line=1 col=8 msg="not UTF-8: invalid start byte 0xff"\n'
+    path.write_bytes(2 * b"\xef\xbb\xbf" + _README_THREE_BOX.encode())
+    code, _, err = run_cli(capsys, "weakvalue", str(path), "--obs", "C")
+    assert code == 1
+    assert err.startswith("error kind=ParseError line=1 col=1 ")
+
+
 def _raise_memory_error(source):
     raise MemoryError("out of memory")
 

@@ -5,6 +5,7 @@ from prepost import (
     CVec,
     FailureMode,
     Family,
+    Observable,
     Projector,
     State,
     UndefinedABL,
@@ -15,6 +16,7 @@ from prepost import (
     as_observable,
     conditional_weight,
     consistency,
+    inner,
     spectral_decompose,
     three_box,
     weak_value,
@@ -370,3 +372,78 @@ def test_consistency_holds_exactly_at_weak_values_0_and_1_at_every_overlap():
         trials += 1
     # every verdict was met at overlaps both below and above 1e-5
     assert len(seen) == 6
+
+
+def _spectral_family(gen):
+    """A Haar eigenbasis of d = 2..32 split into k = 2..8 blocks of random ranks, with
+    distinct eigenvalues, and pre/post states whose overlap modulus is log-uniform in
+    [1e-10, 1]."""
+    dim = int(gen.integers(2, 33))
+    k = int(gen.integers(2, min(dim, 8) + 1))
+    u = np.linalg.qr(gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim)))[0]
+    cuts = [0, *np.sort(gen.choice(np.arange(1, dim), k - 1, replace=False)).tolist(), dim]
+    labels = tuple(str(j) for j in range(dim))
+    projectors = [Projector(u[:, a:b], labels) for a, b in zip(cuts, cuts[1:])]
+    lams = np.sort(gen.choice(np.arange(-40, 41), k, replace=False)).astype(float).tolist()
+    pre = random_state(gen, dim)
+    w = gen.standard_normal(dim) + 1j * gen.standard_normal(dim)
+    w -= np.vdot(pre.vec.amps, w) * pre.vec.amps
+    t = 10.0 ** gen.uniform(-10.0, 0.0)
+    amps = t * np.exp(2j * np.pi * gen.random()) * pre.vec.amps
+    post = State.normalized(amps + np.sqrt(1.0 - t * t) * w / np.linalg.norm(w), labels)
+    return Observable.from_projectors(lams, projectors), pre, post
+
+
+def test_abl_weights_and_weak_values_read_one_amplitude_vector_in_both_time_directions():
+    # With a = <f|P_k|d> and s = <f|d> = sum a: ABL(k) = w(k) / sum w for the weights
+    # w(k) = |a_k/s|^2, sum w = 1 - 2 sum_{k<l} Re D(k, l) / |s|^2 for the decoherence
+    # functional D(k, l) = a_k conj(a_l), and exchanging d and f conjugates every
+    # amplitude, so every weak value, but no ABL probability and no weight.
+    gen = np.random.default_rng(26_001)
+    eps = np.finfo(float).eps
+    for trial in range(300):
+        obs, pre, post = _spectral_family(gen)
+        dim, k, norm = pre.dim, len(obs.eigenvalues), max(map(abs, obs.eigenvalues))
+        a = obs.amplitudes(post.vec, pre.vec)
+        applied = [np.vdot(post.vec.amps, p.apply(pre.vec).amps) for p in obs.projectors]
+        assert np.max(np.abs(a - applied)) <= 16 * dim * eps, trial
+        s = inner(post.vec, pre.vec)
+        err = 16 * dim * eps / abs(s)  # of a/s: each amplitude moves by about n u
+        case = (trial, dim, k, abs(s))
+        w = np.array([conditional_weight(p, pre, post) for p in obs.projectors])
+        abl = np.array([abl_probability(obs, pre, post, lam) for lam in obs.eigenvalues])
+        assert np.max(np.abs(abl - w / w.sum())) <= 1e-12, case
+        interference = np.triu(np.outer(a, a.conj()).real, 1).sum()
+        assert abs(w.sum() - (1.0 - 2.0 * interference / abs(s) ** 2)) <= 1e-9 * w.sum(), case
+        wv = weak_value(obs, pre, post).value
+        assert abs(wv - np.dot(obs.eigenvalues, a) / s) <= err * (k * norm + abs(wv)), case
+        back = weak_value(obs, post, pre).value
+        assert abs(back - wv.conjugate()) <= err * (k * norm + abs(wv)), case
+        for p, lam, weight, prob in zip(obs.projectors, obs.eigenvalues, w, abl):
+            assert abs(abl_probability(obs, post, pre, lam) - prob) <= 1e-12, case
+            assert abs(conditional_weight(p, post, pre) - weight) <= err * (1 + weight), case
+            p_wv = weak_value(p, pre, post).value
+            assert abs(weak_value(p, post, pre).value - p_wv.conjugate()) <= err * (1 + abs(p_wv))
+
+
+def test_two_outcome_family_is_consistent_exactly_when_its_weak_value_is_0_or_1():
+    # generic Haar families, and families built with weak value exactly 0 or 1; the
+    # verdict is the same with the endpoints exchanged
+    gen = np.random.default_rng(26_002)
+    verdicts = set()
+    for trial in range(300):
+        if trial % 3:
+            overlap = 10.0 ** gen.uniform(-10, 0) * np.exp(2j * np.pi * gen.uniform())
+            fam = _family_with_weak_value(gen, int(gen.integers(2, 33)), overlap, trial % 3 - 1.0)
+            if fam is None:
+                continue
+        else:
+            obs, pre, post = _spectral_family(gen)
+            fam = Family(pre, Projector(np.hstack([p.q for p in obs.projectors[1:]]), pre.labels),
+                         post)
+        wv = weak_value(fam.e, fam.d, fam.f).value
+        consistent = consistency(fam).consistent
+        assert consistent == (min(abs(wv), abs(1.0 - wv)) <= 1e-12), (trial, wv)
+        assert consistency(Family(fam.f, fam.e, fam.d)).consistent == consistent, trial
+        verdicts.add(consistent)
+    assert verdicts == {True, False}

@@ -59,6 +59,11 @@ def test_projector_onto_and_complement():
     assert q.rank == 1
     assert np.allclose(p.mat.entries + q.mat.entries, np.eye(2))
     assert p.eigenvalue_set() == (0.0, 1.0)
+    w, v = CVec(np.array([1.0, 0.0])), CVec(np.array([0.6, 0.8j]))
+    assert p.amplitude(w, v) == pytest.approx(0.3 + 0.4j)
+    assert q.amplitude(w, v) == pytest.approx(0.3 - 0.4j)
+    empty = Projector.identity(v.labels).complement()  # rank 0: every amplitude is 0
+    assert empty.rank == 0 and empty.amplitude(w, v) == 0
 
 
 def test_projector_span_handles_dependent_vectors(rng):
