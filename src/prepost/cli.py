@@ -1,14 +1,19 @@
 """Command-line front end: load a scenario, run one computation, print results.
 
 Scenario sources are either `builtin:NAME` or a path to a scenario file.
-Results go to stdout as key-sorted `key = value` lines (complex values are
-split into .re/.im), so identical invocations produce identical bytes.
+`main` checks in one order: the source, then `--obs` (every command but
+`verify`), then the command's own options.  Results go to stdout as
+key-sorted `key = value` lines (complex values are split into .re/.im), so
+identical invocations produce identical bytes.  Every record holds `command`
+and `scenario`, and `obs` unless the command is `verify`.
 Failures print a single machine-parsable record to stderr:
 
     error kind=ParseError line=3 col=7 msg="expected '=', got 'a'"
 
 Exit codes: 0 success, 1 usage, parse or file error, 2 computation error
-(orthogonal pre/post, impossible post-selection, and similar).
+(orthogonal pre/post, impossible post-selection, and similar) or a `verify`
+whose fixture checks fail, which prints its record and then
+`error kind=FixtureMismatch`.
 """
 
 from __future__ import annotations
@@ -103,13 +108,10 @@ def _emit_error(kind: str, msg: str, line=None, col=None):
 
 def load_scenario(source: str) -> Scenario:
     if source.startswith("builtin:"):
-        name = source[len("builtin:") :]
-        if name not in scenarios.BUILTINS:
-            raise UsageError(
-                f"unknown builtin scenario {name!r}; available: "
-                + ", ".join(sorted(scenarios.BUILTINS))
-            )
-        return scenarios.builtin(name)
+        try:
+            return scenarios.builtin(source[len("builtin:") :])
+        except KeyError as exc:
+            raise UsageError(exc.args[0]) from None
     path = Path(source)
     if not path.is_file():
         raise UsageError(f"no such scenario file: {source}")
@@ -127,83 +129,40 @@ def load_scenario(source: str) -> Scenario:
     return scenfile.to_scenario(scenfile.parse(text), name=path.stem)
 
 
-def _pick_observable(sc: Scenario, name: str):
-    if name not in sc.observables:
-        raise UsageError(
-            f"scenario {sc.name!r} has no observable {name!r}; available: "
-            + ", ".join(sorted(sc.observables))
-        )
-    return sc.observables[name]
+# Each command gets its args, scenario, observable (None for verify) and the
+# record `main` started; it adds its keys, and verify returns its failure text.
 
 
-def _cmd_weakvalue(args) -> int:
-    sc = load_scenario(args.source)
-    obs = _pick_observable(sc, args.obs)
+def _cmd_weakvalue(args, sc, obs, results):
     report = weak_value(obs, sc.pre, sc.post)
-    results = {"command": "weakvalue", "scenario": sc.name, "obs": args.obs}
     _put_complex(results, "wv", report.value)
     results["wv.class"] = report.wv_class.value
     _put_complex(results, "overlap", report.overlap)
-    _emit(results)
-    return 0
 
 
-def _cmd_consistency(args) -> int:
-    sc = load_scenario(args.source)
-    _pick_observable(sc, args.obs)
+def _cmd_consistency(args, sc, obs, results):
     report = consistency(sc.family_for(args.obs))
-    results = {
-        "command": "consistency",
-        "scenario": sc.name,
-        "obs": args.obs,
-        "consistent": report.consistent,
-        "failure_mode": report.failure_mode.value,
-        "factor.overlap_sq": report.factor_overlap_sq,
-    }
+    results["consistent"] = report.consistent
+    results["failure_mode"] = report.failure_mode.value
+    results["factor.overlap_sq"] = report.factor_overlap_sq
     _put_complex(results, "functional", report.functional)
     _put_complex(results, "factor.wv", report.factor_wv)
     _put_complex(results, "factor.wv_conj", report.factor_wv_conj)
-    _emit(results)
-    return 0
 
 
-def _cmd_abl(args) -> int:
-    sc = load_scenario(args.source)
-    obs = _pick_observable(sc, args.obs)
-    value = abl_probability(obs, sc.pre, sc.post, args.outcome)
-    _emit(
-        {
-            "command": "abl",
-            "scenario": sc.name,
-            "obs": args.obs,
-            "outcome": float(args.outcome),
-            "abl": value,
-        }
-    )
-    return 0
+def _cmd_abl(args, sc, obs, results):
+    results["outcome"] = float(args.outcome)
+    results["abl"] = abl_probability(obs, sc.pre, sc.post, args.outcome)
 
 
-def _cmd_weight(args) -> int:
-    sc = load_scenario(args.source)
-    _pick_observable(sc, args.obs)
+def _cmd_weight(args, sc, obs, results):
     fam = sc.family_for(args.obs)
-    value = conditional_weight(fam.e, fam.d, fam.f)
-    _emit(
-        {
-            "command": "weight",
-            "scenario": sc.name,
-            "obs": args.obs,
-            "weight": value,
-        }
-    )
-    return 0
+    results["weight"] = conditional_weight(fam.e, fam.d, fam.f)
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args, sc, obs, results):
     from . import pointer  # only simulate samples, so only simulate loads it
 
-    sc = load_scenario(args.source)
-    obs = _pick_observable(sc, args.obs)
     if args.n < 1:
         raise UsageError(f"--n must be at least 1, got {args.n}")
     if not 0 <= args.seed < 2**128:
@@ -220,39 +179,23 @@ def _cmd_simulate(args) -> int:
         pointer.write_density_csv(ens.density, args.density_out)
     if args.samples_out:
         pointer.write_samples_csv(ens, args.samples_out)
-    _emit(
-        {
-            "command": "simulate",
-            "scenario": sc.name,
-            "obs": args.obs,
-            "delta": float(args.delta),
-            "n": args.n,
-            "seed": args.seed,
-            "mean": ens.mean,
-            "variance": ens.variance,
-            "rate": ens.postselect_rate,
-            "estimate": pointer.weak_value_estimate(ens, cfg),
-        }
-    )
-    return 0
+    results["delta"] = float(args.delta)
+    results["n"] = args.n
+    results["seed"] = args.seed
+    results["mean"] = ens.mean
+    results["variance"] = ens.variance
+    results["rate"] = ens.postselect_rate
+    results["estimate"] = pointer.weak_value_estimate(ens, cfg)
 
 
-def _cmd_verify(args) -> int:
-    sc = load_scenario(args.source)
+def _cmd_verify(args, sc, obs, results) -> Optional[str]:
     checks = sc.check_all()
-    results = {"command": "verify", "scenario": sc.name}
-    failed = 0
     for check in checks:
         results[f"check.{check.name}"] = "pass" if check.passed else "fail"
-        if not check.passed:
-            failed += 1
+    failed = sum(not check.passed for check in checks)
     results["checks.total"] = str(len(checks))
     results["checks.failed"] = str(failed)
-    _emit(results)
-    if failed:
-        _emit_error("FixtureMismatch", f"{failed} of {len(checks)} checks failed")
-        return 2
-    return 0
+    return f"{failed} of {len(checks)} checks failed" if failed else None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,7 +245,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        sc = load_scenario(args.source)
+        results = {"command": args.command, "scenario": sc.name}
+        obs = None
+        if hasattr(args, "obs"):  # every command but verify
+            if args.obs not in sc.observables:
+                raise UsageError(
+                    f"scenario {sc.name!r} has no observable {args.obs!r}; available: "
+                    + ", ".join(sorted(sc.observables))
+                )
+            obs = sc.observables[args.obs]
+            results["obs"] = args.obs
+        failure = args.func(args, sc, obs, results)
+        _emit(results)
+        if failure:
+            _emit_error("FixtureMismatch", failure)
+            return 2
+        return 0
     except (UsageError, UnknownEigenvalue) as exc:
         _emit_error("Usage", str(exc))
         return 1

@@ -124,10 +124,10 @@ class Projector:
 
     def complement(self) -> "Projector":
         """Projector onto the orthogonal complement of the range."""
-        n, r = self.q.shape
+        r = self.rank
         if np.count_nonzero(self.q) == r:
             # every column is a basis vector: the complement takes the others
-            return Projector(np.eye(n)[:, ~self.q.any(axis=1)], self.labels)
+            return Projector.on_rows(np.flatnonzero(~self.q.any(axis=1)), self.labels)
         full = np.linalg.qr(self.q, mode="complete")[0]
         return Projector(full[:, r:], self.labels)
 

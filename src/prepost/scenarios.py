@@ -213,9 +213,8 @@ BUILTINS = {"three-box": three_box, "hardy": hardy}
 
 
 def builtin(name: str) -> Scenario:
-    try:
-        return BUILTINS[name]()
-    except KeyError:
+    if name not in BUILTINS:
         raise KeyError(
             f"unknown builtin scenario {name!r}; available: {', '.join(sorted(BUILTINS))}"
-        ) from None
+        )
+    return BUILTINS[name]()

@@ -414,7 +414,10 @@ def parse(text: str) -> ScenarioDoc:
         tokens = _tokenize(line, line_no)
         if not tokens:
             continue
-        parser.parse_line(_Cursor(tokens, line_no, len(line)))
+        try:
+            parser.parse_line(_Cursor(tokens, line_no, len(line)))
+        except RecursionError:  # the scalar grammar recurses once per nesting level
+            raise ParseError("expression nested too deeply", line_no) from None
     doc = _ParsedDoc(
         parser.basis, tuple(parser.states), tuple(parser.projs), tuple(parser.obs),
         parser.pre, parser.post,

@@ -128,3 +128,17 @@ def diagonal_scenario_text(dim: int, gen) -> str:
         pre="psi",
         post="phi",
     ))
+
+
+#: A coefficient nested `depth` levels deep, in each shape the scalar grammar recurses on.
+NESTED_COEFFICIENTS = {
+    "parentheses": lambda depth: "(" * depth + "1" + ")" * depth,
+    "unary minus": lambda depth: "-" * depth + "1",
+    "root sign": lambda depth: "√" * depth + "1",
+}
+
+
+def nested_state_text(shape: str, depth: int) -> str:
+    """Two lines whose second declares a state with a nested coefficient; every
+    shape evaluates to 1 at an even depth."""
+    return f"basis a b\nstate psi = {NESTED_COEFFICIENTS[shape](depth)} a\n"

@@ -13,7 +13,7 @@ from prepost import cli
 from prepost.cli import main
 from prepost.pointer import _CHUNK
 
-from conftest import diagonal_scenario_text
+from conftest import NESTED_COEFFICIENTS, diagonal_scenario_text, nested_state_text
 
 
 def run_cli(capsys, *argv):
@@ -394,6 +394,63 @@ def test_parse_error_record_has_position(capsys, tmp_path):
     m = re.match(r'^error kind=ParseError line=(\d+) col=(\d+) msg="', err)
     assert m is not None
     assert m.group(1) == "2"
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_COEFFICIENTS))
+def test_deeply_nested_expression_gives_one_parse_error_record(capsys, tmp_path, shape):
+    path = tmp_path / "deep.scn"
+    path.write_text(nested_state_text(shape, 2000), encoding="utf-8")
+    code, out, err = run_cli(capsys, "weakvalue", str(path), "--obs", "C")
+    assert (code, out) == (1, "")
+    assert err == 'error kind=ParseError line=2 msg="expression nested too deeply"\n'
+
+
+_EVERY_COMMAND = [("weakvalue", "--obs", "C"), ("consistency", "--obs", "C"), ("weight", "--obs", "C"),
+                  ("abl", "--obs", "C", "--outcome", "1"), ("simulate", "--obs", "C", "--n", "10"),
+                  ("verify",)]
+
+
+@pytest.mark.parametrize("argv", _EVERY_COMMAND, ids=lambda argv: argv[0])
+@pytest.mark.parametrize("source", ["builtin", "file"])
+def test_every_record_names_its_command_scenario_and_observable(capsys, tmp_path, argv, source):
+    if source == "file":
+        path = tmp_path / "boxes.scn"
+        path.write_text(_README_THREE_BOX, encoding="utf-8")
+        source, name = str(path), "boxes"
+    else:
+        source, name = "builtin:three-box", "three-box"
+    code, out, err = run_cli(capsys, argv[0], source, *argv[1:])
+    assert (code, err) == (0, "")
+    d = kv(out)
+    assert (d["command"], d["scenario"]) == (argv[0], name)
+    assert d.get("obs") == (None if argv[0] == "verify" else "C")
+
+
+@pytest.mark.parametrize(
+    "argv, msg",
+    [
+        # the source first, then --obs, then the command's own options
+        (("nofile.scn", "--obs", "Q", "--n", "0"), "no such scenario file: nofile.scn"),
+        (("builtin:three-box", "--obs", "Q", "--n", "0"),
+         "scenario 'three-box' has no observable 'Q'; available: A, B, C"),
+        (("builtin:three-box", "--obs", "C", "--n", "0"), "--n must be at least 1, got 0"),
+        (("builtin:nope", "--obs", "C"), "unknown builtin scenario 'nope'; available: hardy, three-box"),
+    ],
+)
+def test_checks_run_in_one_order_with_exact_messages(capsys, argv, msg):
+    code, out, err = run_cli(capsys, "simulate", *argv)
+    assert (code, out) == (1, "")
+    assert err == f'error kind=Usage msg="{msg}"\n'
+
+
+def test_a_key_error_inside_a_builder_is_not_an_unknown_name(capsys, monkeypatch):
+    def broken():
+        return {}["missing"]
+
+    monkeypatch.setitem(scenarios.BUILTINS, "broken", broken)
+    code, out, err = run_cli(capsys, "verify", "builtin:broken")
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and "unknown builtin" not in err
 
 
 #: Orthogonal pre- and post-selection: every weak value is undefined.

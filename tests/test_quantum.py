@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -64,6 +66,24 @@ def test_projector_onto_and_complement():
     assert q.amplitude(w, v) == pytest.approx(0.3 - 0.4j)
     empty = Projector.identity(v.labels).complement()  # rank 0: every amplitude is 0
     assert empty.rank == 0 and empty.amplitude(w, v) == 0
+
+
+def test_label_projector_complement_takes_identity_columns_without_an_identity():
+    labels = tuple(f"k{j}" for j in range(256))
+    for subset in ((), ("k5",), ("k0", "k7", "k255"), labels):
+        p = Projector.on_labels(labels, subset)
+        keep = ~p.q.any(axis=1)
+        np.testing.assert_array_equal(p.complement().q, np.eye(len(labels))[:, keep])
+    p = Projector(np.exp(0.3j) * np.eye(4)[:, [1]])  # a basis column up to a phase
+    np.testing.assert_array_equal(p.complement().q, np.eye(4)[:, [0, 2, 3]])
+    p = Projector.on_labels(tuple(f"k{j}" for j in range(2048)), ("k5",))
+    tracemalloc.start()
+    try:
+        q = p.complement().q
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * q.nbytes  # the 2048 x 2047 columns, and no 2048 x 2048 identity
 
 
 def test_projector_span_handles_dependent_vectors(rng):

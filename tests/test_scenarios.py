@@ -14,6 +14,7 @@ from prepost import (
     three_box,
     weak_value,
 )
+from prepost import scenarios
 from prepost.scenarios import Expectation, Scenario
 
 
@@ -70,8 +71,18 @@ def test_hardy_expected_entries():
 def test_builtin_registry():
     assert builtin("three-box").name == "three-box"
     assert builtin("hardy").name == "hardy"
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown builtin scenario 'nonexistent'"):
         builtin("nonexistent")
+
+
+def test_builtin_reports_a_builder_key_error_as_itself(monkeypatch):
+    def broken():
+        return {}["missing"]
+
+    monkeypatch.setitem(scenarios.BUILTINS, "broken", broken)
+    with pytest.raises(KeyError) as info:
+        builtin("broken")
+    assert info.value.args == ("missing",)
 
 
 def test_consistency_for_and_family_for():

@@ -26,7 +26,7 @@ from prepost.scenfile import (
     to_scenario,
 )
 
-from conftest import diagonal_scenario_text
+from conftest import NESTED_COEFFICIENTS, diagonal_scenario_text, nested_state_text
 
 THREE_BOX_TEXT = """\
 # three boxes, exact surd amplitudes
@@ -186,6 +186,16 @@ def test_parse_errors_carry_positions(line, match):
         parse(text)
     assert err.value.line == 2
     assert err.value.col is not None
+
+
+@pytest.mark.parametrize("shape", sorted(NESTED_COEFFICIENTS))
+def test_deeply_nested_expression_is_a_parse_error(shape):
+    # 2000 levels pass any recursion limit whatever the caller's stack depth
+    with pytest.raises(ParseError) as info:
+        parse(nested_state_text(shape, 2000))
+    assert info.value.args == ("expression nested too deeply",)
+    assert (info.value.line, info.value.col) == (2, None)
+    assert parse(nested_state_text(shape, 100)).states[0].terms == ((1.0, "a"),)
 
 
 def test_semantic_errors():
