@@ -26,7 +26,6 @@ from typing import Optional
 
 from . import scenarios
 from .errors import (
-    ParseError,
     PointerRangeError,
     PositionedError,
     PostSelectionImpossible,
@@ -117,15 +116,7 @@ def load_scenario(source: str) -> Scenario:
         raise UsageError(f"no such scenario file: {source}")
     from . import scenfile  # only file sources parse, so builtins never load it
 
-    data = path.read_bytes().removeprefix(b"\xef\xbb\xbf")  # one UTF-8 BOM, as editors save it
-    try:
-        text = data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # line and column as the parser counts them: str.splitlines lines, characters
-        lines = (data[: exc.start].decode("utf-8") + "?").splitlines()
-        raise ParseError(
-            f"not UTF-8: {exc.reason} 0x{data[exc.start]:02x}", len(lines), len(lines[-1])
-        ) from None
+    text = scenfile.decode(path.read_bytes())
     return scenfile.to_scenario(scenfile.parse(text), name=path.stem)
 
 
@@ -210,24 +201,21 @@ def build_parser() -> argparse.ArgumentParser:
     def add(name, func, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("source", help="scenario file path or builtin:NAME")
+        if name != "verify":
+            p.add_argument("--obs", required=True)
         p.set_defaults(func=func)
         return p
 
-    p = add("weakvalue", _cmd_weakvalue, "weak value of an observable")
-    p.add_argument("--obs", required=True)
+    add("weakvalue", _cmd_weakvalue, "weak value of an observable")
 
-    p = add("consistency", _cmd_consistency, "history-family consistency report")
-    p.add_argument("--obs", required=True)
+    add("consistency", _cmd_consistency, "history-family consistency report")
 
     p = add("abl", _cmd_abl, "ABL probability of an outcome")
-    p.add_argument("--obs", required=True)
     p.add_argument("--outcome", type=float, required=True)
 
-    p = add("weight", _cmd_weight, "conditional weight of the eigenvalue-1 event")
-    p.add_argument("--obs", required=True)
+    add("weight", _cmd_weight, "conditional weight of the eigenvalue-1 event")
 
     p = add("simulate", _cmd_simulate, "Gaussian-pointer Monte Carlo")
-    p.add_argument("--obs", required=True)
     p.add_argument("--delta", type=float, default=10.0)
     p.add_argument("--n", type=int, default=100000)
     p.add_argument("--seed", type=int, default=0)

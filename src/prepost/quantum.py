@@ -179,7 +179,7 @@ class Projector:
 
     @classmethod
     def identity(cls, labels: Sequence[str]) -> "Projector":
-        return cls(np.eye(len(labels)), labels)
+        return cls.on_rows(range(len(labels)), labels)
 
 
 def _scaled(tol: float, eigenvalues: Sequence[float]) -> float:

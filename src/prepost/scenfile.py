@@ -21,6 +21,11 @@ any Unicode letters.  States must arrive normalized to within 1e-6
 unless the declaration carries `normalize`.  All diagnostics carry
 source positions.
 
+A line ends at `\n`, `\r\n` or `\r`, and nowhere else: the other Unicode
+line and paragraph separators (`\v`, `\f`, U+001C-U+001E, U+0085, U+2028,
+U+2029) are whitespace, in comments too.  `decode` reads a file's bytes
+and reports an invalid UTF-8 byte at the line and column `parse` counts.
+
 Declarations are content-only records, so documents compare by content
 and `parse(serialize(doc)) == doc`.  The positions live in one table,
 `doc.lines`: `parse` fills it with the line of each declared name and of
@@ -54,9 +59,11 @@ _TOKEN_RE = re.compile(
       | (?P<word>[^\W\d_]\w*)
       | (?P<sqrt_sym>√)
       | (?P<sym>[()|<>=*/+,-])
+      | (?P<bad>.)
     """,
     re.VERBOSE,
 )
+_LINE_END = re.compile(r"\r\n|\r|\n")
 
 
 class Token(NamedTuple):
@@ -69,14 +76,11 @@ class Token(NamedTuple):
 def _tokenize(text: str, line_no: int) -> list[Token]:
     text = text.replace("⟨", "<").replace("⟩", ">")
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line_no, pos + 1)
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastgroup == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line_no, m.start() + 1)
         if m.lastgroup is not None:
             tokens.append(Token(m.lastgroup, m.group(), line_no, m.start() + 1))
-        pos = m.end()
     return tokens
 
 
@@ -103,6 +107,14 @@ class _Cursor:
     def at_end(self) -> bool:
         return self.i >= len(self.tokens)
 
+    def accept(self, kind: str, *texts: str) -> Optional[Token]:
+        """Consume and return the next token if it has this kind and one of these texts."""
+        tok = self.peek()
+        if tok is None or tok.kind != kind or tok.text not in texts:
+            return None
+        self.i += 1
+        return tok
+
     def expect_sym(self, sym: str) -> Token:
         tok = self.next()
         if tok.kind != "sym" or tok.text != sym:
@@ -126,17 +138,12 @@ def _complex_value(tok: Token, minus_against: bool) -> complex:
 
     A '-' written against a literal with a real part negates that part
     alone (`-0.6+0.8i`); the caller applies the '-' to the whole value, so
-    the imaginary sign is flipped here to cancel it.
+    the literal is conjugated here to cancel it on the imaginary part.
     """
-    body = tok.text[:-1]
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "eE":
-            re_part = float(body[:k])
-            im_part = float(body[k + 1 :])
-            if (body[k] == "-") != minus_against:
-                im_part = -im_part
-            return complex(re_part, im_part)
-    return complex(0.0, float(body))
+    value = complex(tok.text[:-1] + "j")
+    if minus_against and not re.fullmatch(rf"{_NUM}i", tok.text):
+        return value.conjugate()
+    return value
 
 
 def _checked_sqrt(value: complex, tok: Token) -> complex:
@@ -147,8 +154,7 @@ def _checked_sqrt(value: complex, tok: Token) -> complex:
 
 def _scalar_expr(cur: _Cursor) -> complex:
     value = _scalar_term(cur)
-    while (t := cur.peek()) is not None and t.kind == "sym" and t.text in "+-":
-        cur.next()
+    while t := cur.accept("sym", "+", "-"):
         rhs = _scalar_term(cur)
         value = value + rhs if t.text == "+" else value - rhs
     return value
@@ -174,9 +180,7 @@ def _scalar_term(cur: _Cursor) -> complex:
 
 
 def _scalar_factor(cur: _Cursor) -> complex:
-    t = cur.peek()
-    if t is not None and t.kind == "sym" and t.text == "-":
-        cur.next()
+    if cur.accept("sym", "-"):
         return -_scalar_factor(cur)
     return _scalar_atom(cur)
 
@@ -196,14 +200,7 @@ def _scalar_atom(cur: _Cursor) -> complex:
         cur.expect_sym(")")
         return _checked_sqrt(inner, tok)
     if tok.kind == "sqrt_sym":
-        t = cur.peek()
-        if t is not None and t.kind == "sym" and t.text == "(":
-            cur.next()
-            inner = _scalar_expr(cur)
-            cur.expect_sym(")")
-        else:
-            inner = _scalar_atom(cur)
-        return _checked_sqrt(inner, tok)
+        return _checked_sqrt(_scalar_atom(cur), tok)
     if tok.kind == "sym" and tok.text == "(":
         value = _scalar_expr(cur)
         cur.expect_sym(")")
@@ -247,22 +244,17 @@ class _ParsedDoc(ScenarioDoc):
 def _parse_sum(cur: _Cursor, parse_term: Callable[[_Cursor], tuple[complex, Token]]):
     """Signed sum of terms; returns [(signed coefficient, name token)]."""
     terms = []
-    sign = 1.0
-    t = cur.peek()
-    if t is not None and t.kind == "sym" and t.text in "+-":
-        cur.next()
-        sign = -1.0 if t.text == "-" else 1.0
+    op = cur.accept("sym", "+", "-")  # an optional leading sign
     while True:
+        sign = -1.0 if op and op.text == "-" else 1.0
         coeff, name_tok = parse_term(cur)
         terms.append((sign * coeff, name_tok))
         if cur.at_end():
             return terms
-        t = cur.next()
-        if t.kind == "sym" and t.text in "+-":
-            sign = -1.0 if t.text == "-" else 1.0
-        else:
+        op = cur.next()
+        if op.kind != "sym" or op.text not in "+-":
             raise ParseError(
-                f"expected '+' or '-' between terms, got {t.text!r}", t.line, t.col
+                f"expected '+' or '-' between terms, got {op.text!r}", op.line, op.col
             )
 
 
@@ -280,9 +272,7 @@ def _parse_state_term(cur: _Cursor) -> tuple[complex, Token]:
     if t is not None and t.kind == "word" and t.text != "sqrt":
         return complex(1.0), cur.next()
     coeff = _finite_coefficient(cur)
-    t = cur.peek()
-    if t is not None and t.kind == "sym" and t.text == "*":
-        cur.next()
+    cur.accept("sym", "*")
     return coeff, cur.expect_word()
 
 
@@ -330,11 +320,7 @@ class _Parser:
         elif head.text == "state":
             name = cur.expect_word()
             self.declare(name, "state")
-            normalize = False
-            t = cur.peek()
-            if t is not None and t.kind == "word" and t.text == "normalize":
-                cur.next()
-                normalize = True
+            normalize = cur.accept("word", "normalize") is not None
             cur.expect_sym("=")
             terms = _parse_sum(cur, _parse_state_term)
             self.states.append(
@@ -395,8 +381,7 @@ class _Parser:
         if tok.kind == "word" and tok.text == "span":
             cur.expect_sym("(")
             args = [cur.expect_word().text]
-            while (t := cur.peek()) is not None and t.kind == "sym" and t.text == ",":
-                cur.next()
+            while cur.accept("sym", ","):
                 args.append(cur.expect_word().text)
             cur.expect_sym(")")
             return "span", tuple(args)
@@ -407,9 +392,25 @@ class _Parser:
         )
 
 
+def decode(data: bytes) -> str:
+    """A scenario file's text: its bytes as UTF-8 after one leading byte order mark.
+
+    A byte that is not UTF-8 is a ParseError at the line and column `parse`
+    counts for it.
+    """
+    data = data.removeprefix(b"\xef\xbb\xbf")  # one UTF-8 BOM, as editors save it
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = _LINE_END.split(data[: exc.start].decode("utf-8"))
+        raise ParseError(
+            f"not UTF-8: {exc.reason} 0x{data[exc.start]:02x}", len(lines), len(lines[-1]) + 1
+        ) from None
+
+
 def parse(text: str) -> ScenarioDoc:
     parser = _Parser()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(_LINE_END.split(text), start=1):
         line = raw.split("#", 1)[0]
         tokens = _tokenize(line, line_no)
         if not tokens:
@@ -426,10 +427,6 @@ def parse(text: str) -> ScenarioDoc:
     return doc
 
 
-def _fmt_float(x: float) -> str:
-    return repr(float(x))
-
-
 def _split_sign(c: complex) -> tuple[str, complex]:
     """Pull a leading minus out so the payload serializes without one."""
     if c.real < 0 or (c.real == 0 and c.imag < 0):
@@ -439,11 +436,11 @@ def _split_sign(c: complex) -> tuple[str, complex]:
 
 def _fmt_scalar(c: complex) -> str:
     if c.imag == 0:
-        return _fmt_float(c.real)
+        return repr(c.real)
     if c.real == 0:
-        return f"{_fmt_float(c.imag)}i"
+        return f"{c.imag!r}i"
     sign = "+" if c.imag > 0 else "-"
-    return f"{_fmt_float(c.real)}{sign}{_fmt_float(abs(c.imag))}i"
+    return f"{c.real!r}{sign}{abs(c.imag)!r}i"
 
 
 def _join_terms(parts: list[tuple[str, str]]) -> str:
@@ -463,7 +460,7 @@ def serialize(doc: ScenarioDoc) -> str:
     for st in doc.states:
         parts = []
         for coeff, label in st.terms:
-            sign, payload = _split_sign(coeff)
+            sign, payload = _split_sign(complex(coeff))
             parts.append((sign, f"{_fmt_scalar(payload)} {label}"))
         keyword = " normalize" if st.normalize else ""
         lines.append(f"state {st.name}{keyword} = {_join_terms(parts)}")

@@ -8,7 +8,9 @@ import sys
 import numpy as np
 import pytest
 
-from prepost import PointerConfig, entangle, pointer_density, postselect, scenarios, scenfile
+from prepost import (
+    ParseError, PointerConfig, entangle, pointer_density, postselect, scenarios, scenfile,
+)
 from prepost import cli
 from prepost.cli import main
 from prepost.pointer import _CHUNK
@@ -365,6 +367,20 @@ def test_a_byte_order_mark_is_stripped_once_and_not_counted(capsys, tmp_path):
     code, _, err = run_cli(capsys, "weakvalue", str(path), "--obs", "C")
     assert code == 1
     assert err.startswith("error kind=ParseError line=1 col=1 ")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_not_utf8_position_is_the_parsers(capsys, tmp_path, end):
+    # a form feed or U+2028 in a comment ends no line, so the bad byte stays on line 3
+    head = f"basis a b{end}# page \f break \u2028 here{end}state psi = "
+    with pytest.raises(ParseError, match="unexpected character '\\$'") as parsed:
+        scenfile.parse(head + "$")
+    assert (parsed.value.line, parsed.value.col) == (3, 13)
+    path = tmp_path / "bad.scn"
+    path.write_bytes(head.encode() + b"\xff")
+    code, out, err = run_cli(capsys, "weakvalue", str(path), "--obs", "C")
+    assert (code, out) == (1, "")
+    assert err == 'error kind=ParseError line=3 col=13 msg="not UTF-8: invalid start byte 0xff"\n'
 
 
 def _raise_memory_error(source):

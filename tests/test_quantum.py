@@ -86,6 +86,20 @@ def test_label_projector_complement_takes_identity_columns_without_an_identity()
     assert peak < 1.25 * q.nbytes  # the 2048 x 2047 columns, and no 2048 x 2048 identity
 
 
+def test_identity_projector_takes_identity_columns_without_a_check():
+    p = Projector.identity(tuple(f"k{j}" for j in range(256)))
+    np.testing.assert_array_equal(p.q, np.eye(256))
+    assert p.labels == tuple(f"k{j}" for j in range(256)) and not p.q.flags.writeable
+    labels = tuple(f"k{j}" for j in range(2048))
+    tracemalloc.start()
+    try:
+        q = Projector.identity(labels).q
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * q.nbytes  # the 2048 x 2048 columns, and no Q^dagger Q product
+
+
 def test_projector_span_handles_dependent_vectors(rng):
     v = random_vector(rng, 4)
     p = Projector.span([v, CVec(2.0 * v.amps, v.labels)])

@@ -386,6 +386,7 @@ def test_negative_and_complex_coefficients_round_trip():
         ("0.8 b-0.6-0.8i a", [(0.8, "b"), (complex(-0.6, -0.8), "a")]),
         ("(1 -0.6+0.8i) a", [(complex(0.4, 0.8), "a")]),
         ("-0.8i a", [(complex(0.0, -0.8), "a")]),
+        ("-0+0.8i a", [(complex(-0.0, 0.8), "a")]),  # a written real part, though zero
     ],
 )
 def test_minus_against_a_complex_literal_negates_its_real_part(rhs, terms):
@@ -422,6 +423,35 @@ def test_comments_and_blank_lines_are_ignored():
     doc = parse(text)
     assert doc.basis == ("a", "b")
     assert doc.states[0].terms == ((complex(1.0), "a"),)
+
+
+# the separators str.splitlines breaks at besides \n, \r\n and \r
+OTHER_SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", OTHER_SEPARATORS)
+def test_other_line_separators_are_whitespace(sep):
+    base = parse(THREE_BOX_TEXT)
+    variants = (
+        THREE_BOX_TEXT.replace("# three boxes,", f"# three{sep}boxes here,"),
+        THREE_BOX_TEXT.replace("0*PCc", f"0*PCc  # page{sep}break here"),
+        THREE_BOX_TEXT.replace("basis a b c", f"basis a {sep}b c"),
+        THREE_BOX_TEXT.replace("0*PCc", f"0*{sep}PCc"),
+    )
+    for text in variants:
+        doc = parse(text)
+        assert doc == base and doc.lines == base.lines
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"])
+def test_lines_end_at_lf_crlf_and_cr(end):
+    base = parse(THREE_BOX_TEXT)
+    doc = parse(THREE_BOX_TEXT.replace("\n", end))
+    assert doc == base and doc.lines == base.lines
+    bad = THREE_BOX_TEXT.replace("(1/sqrt(3)) b +", "(1/sqrt(3)) b b", 1).replace("\n", end)
+    with pytest.raises(ParseError, match="expected '\\+' or '-' between terms, got 'b'") as err:
+        parse(bad)
+    assert (err.value.line, err.value.col) == (3, 43)
 
 
 def test_doc_from_scenario_reads_diagonality_from_the_columns():
