@@ -11,9 +11,9 @@ Failures print a single machine-parsable record to stderr:
     error kind=ParseError line=3 col=7 msg="expected '=', got 'a'"
 
 Exit codes: 0 success, 1 usage, parse or file error, 2 computation error
-(orthogonal pre/post, impossible post-selection, and similar) or a `verify`
-whose fixture checks fail, which prints its record and then
-`error kind=FixtureMismatch`.
+(orthogonal pre/post, a weak value that is not a finite double, impossible
+post-selection, and similar) or a `verify` whose fixture checks fail, which
+prints its record and then `error kind=FixtureMismatch`.
 """
 
 from __future__ import annotations

@@ -41,7 +41,8 @@ class NotHermitian(PrepostError):
 
 
 class UndefinedWeakValue(PrepostError):
-    """Pre- and post-selection states are orthogonal; no weak value exists."""
+    """Pre- and post-selection states are orthogonal, or the weak value's quotient is
+    not a finite double; no weak value exists."""
 
 
 class UnknownEigenvalue(PrepostError):

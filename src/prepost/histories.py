@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import UndefinedABL, UndefinedWeight, UnknownEigenvalue
+from .errors import UndefinedABL, UndefinedWeight
 from .linalg import CONSISTENCY_TOL, REAL_TOL, ZERO_TOL, check_same_basis, inner
 from .quantum import Observable, Projector, State
 
@@ -114,14 +114,10 @@ def abl_probability(obs: Observable, pre: State, post: State, outcome: float) ->
 
     Degenerate-spectrum form: |<post|P_outcome|pre>|^2 over the sum of the
     same quantity across all spectral projectors, all read from one vector
-    of amplitudes (`Observable.amplitudes`).
+    of amplitudes (`Observable.amplitudes`).  An outcome that is not an eigenvalue
+    raises UnknownEigenvalue (`Observable.outcome_index`).
     """
-    try:
-        chosen = obs.outcome_index(outcome)
-    except KeyError:
-        raise UnknownEigenvalue(
-            f"{outcome!r} is not an eigenvalue of the observable"
-        ) from None
+    chosen = obs.outcome_index(outcome)
     terms = np.abs(obs.amplitudes(post.vec, pre.vec)) ** 2
     denom = float(terms.sum())
     # sqrt(denom) is the norm of the amplitudes <post|P_i|pre>, held to the amplitude scale.

@@ -19,7 +19,7 @@ from .errors import BasisMismatch, DimensionError
 
 # The tolerance table: each threshold of prepost, named for the decision it makes.  All are
 # absolute except where a line says it is taken times a spectrum's largest |eigenvalue|
-# or a matrix's largest |entry|.
+# (`scaled_tol`) or a matrix's largest |entry|.
 #: Arrays within this max-abs gap are equal: `allclose`, Q^dagger Q = I; M = M^dagger within
 #: this times M's largest |entry|.
 EQUAL_TOL = 1e-10
@@ -55,9 +55,24 @@ LABEL_JOIN = "_"
 _NORM_MIN = math.sqrt(sys.float_info.min)
 
 
+def scaled_tol(tol: float, values: Sequence[complex]) -> float:
+    """`tol` times the largest |value| of a spectrum or a file's eigenvalue list, the scale
+    of eigenvalue and weak-value errors: scaling an observable changes no merge, match or class."""
+    return tol * float(np.max(np.abs(values), initial=0.0))
+
+
 def index_labels(n: int) -> tuple[str, ...]:
     """Default basis labels "0", "1", ... for unlabeled data."""
     return tuple(str(i) for i in range(n))
+
+
+def checked_labels(labels: Sequence[str], n: int) -> tuple[str, ...]:
+    """The labels of an n-element basis: `index_labels(n)` when none are given, else
+    exactly n labels; DimensionError otherwise."""
+    labels = tuple(labels) if labels else index_labels(n)
+    if len(labels) != n:
+        raise DimensionError(f"{len(labels)} labels for dimension {n}")
+    return labels
 
 
 def label_index(labels: Sequence[str]) -> dict[str, int]:
@@ -81,13 +96,8 @@ class CVec:
         amps = np.array(amps, dtype=complex)
         if amps.ndim != 1 or amps.size < 1:
             raise DimensionError("amplitude vector must be 1-d and non-empty")
-        labels = tuple(labels) if labels else index_labels(amps.size)
-        if len(labels) != amps.size:
-            raise DimensionError(
-                f"{len(labels)} labels for {amps.size} amplitudes"
-            )
         amps.setflags(write=False)
-        self.amps, self.labels = amps, labels
+        self.amps, self.labels = amps, checked_labels(labels, amps.size)
 
     @property
     def dim(self) -> int:
@@ -143,13 +153,8 @@ class CMat:
             raise DimensionError(f"matrix must be square, got {entries.shape}")
         if entries.shape[0] < 1:
             raise DimensionError("matrix must be non-empty")
-        labels = tuple(labels) if labels else index_labels(entries.shape[0])
-        if len(labels) != entries.shape[0]:
-            raise DimensionError(
-                f"{len(labels)} labels for dimension {entries.shape[0]}"
-            )
         entries.setflags(write=False)
-        self.entries, self.labels = entries, labels
+        self.entries, self.labels = entries, checked_labels(labels, entries.shape[0])
 
     @property
     def dim(self) -> int:

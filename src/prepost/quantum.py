@@ -21,10 +21,11 @@ import numpy as np
 
 from .errors import (
     BasisMismatch, DimensionError, NormalizationError, NotHermitian, UndefinedWeakValue,
+    UnknownEigenvalue,
 )
 from .linalg import (
     DEGENERACY_TOL, EQUAL_TOL, NORM_TOL, REAL_TOL, SHARP_TOL, ZERO_TOL,
-    CMat, CVec, check_same_basis, index_labels, inner, label_index,
+    CMat, CVec, check_same_basis, checked_labels, inner, label_index, scaled_tol,
 )
 
 
@@ -86,9 +87,7 @@ class Projector:
         q = np.array(q, dtype=complex)
         if q.ndim != 2:
             raise DimensionError(f"projector columns must form a matrix, got {q.shape}")
-        labels = tuple(labels) if labels else index_labels(q.shape[0])
-        if len(labels) != q.shape[0]:
-            raise DimensionError(f"{len(labels)} labels for dimension {q.shape[0]}")
+        labels = checked_labels(labels, q.shape[0])
         if np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) > EQUAL_TOL:
             raise ValueError("projector columns are not orthonormal")
         q.setflags(write=False)
@@ -182,12 +181,6 @@ class Projector:
         return cls.on_rows(range(len(labels)), labels)
 
 
-def _scaled(tol: float, eigenvalues: Sequence[float]) -> float:
-    """`tol` times the spectrum's largest |eigenvalue|, the scale of eigenvalue and
-    weak-value errors: scaling an observable then changes no merge, match or class."""
-    return tol * float(np.max(np.abs(eigenvalues), initial=0.0))
-
-
 def _check_hermitian(mat: CMat) -> None:
     """NotHermitian unless max|M - M^dagger| <= EQUAL_TOL max|M_ij|, the scale of the
     rounding in forming M, and every entry is finite."""
@@ -202,7 +195,7 @@ class Observable:
     """Hermitian operator held as its spectral decomposition.
 
     `eigenvalues` are the distinct eigenvalues in ascending order, no two
-    within the spectrum's DEGENERACY_TOL (see `_scaled`).  The read-only
+    within the spectrum's DEGENERACY_TOL (see `linalg.scaled_tol`).  The read-only
     unitary `v` holds the spectral projectors' orthonormal columns side by
     side, in eigenvalue order: columns `bounds[k]:bounds[k + 1]` span the
     eigenspace of `eigenvalues[k]`.  The `projectors` (views of `v`) and the
@@ -218,7 +211,7 @@ class Observable:
         self._set_spectrum(eigenvalues, projectors)
         check_same_basis(self, mat)
         gap = float(np.max(np.abs(mat.entries - self.mat.entries)))
-        if gap > _scaled(EQUAL_TOL, self.eigenvalues):
+        if gap > scaled_tol(EQUAL_TOL, self.eigenvalues):
             raise ValueError(f"observable matrix differs from its spectral sum by {gap:.3g}")
         self.projectors = tuple(projectors)
 
@@ -237,7 +230,7 @@ class Observable:
         columns form a unitary matrix, and hold those columns side by side."""
         if len(eigenvalues) != len(projectors):
             raise ValueError("eigenvalue list and projector list differ in length")
-        merge = _scaled(DEGENERACY_TOL, eigenvalues)
+        merge = scaled_tol(DEGENERACY_TOL, eigenvalues)
         for lo, hi in zip(eigenvalues, eigenvalues[1:]):
             if hi < lo:
                 raise ValueError("eigenvalues must be ascending")
@@ -278,12 +271,12 @@ class Observable:
 
     def outcome_index(self, outcome: float) -> int:
         """Position of the eigenvalue that matches outcome within the spectrum's
-        DEGENERACY_TOL; KeyError when none does."""
-        match = _scaled(DEGENERACY_TOL, self.eigenvalues)
+        DEGENERACY_TOL; UnknownEigenvalue when none does."""
+        match = scaled_tol(DEGENERACY_TOL, self.eigenvalues)
         for k, lam in enumerate(self.eigenvalues):
             if abs(lam - outcome) <= match:
                 return k
-        raise KeyError(outcome)
+        raise UnknownEigenvalue(f"{outcome!r} is not an eigenvalue of the observable")
 
     def projector_for(self, outcome: float) -> Projector:
         return self.projectors[self.outcome_index(outcome)]
@@ -303,7 +296,7 @@ def spectral_decompose(mat: CMat) -> Observable:
     """
     _check_hermitian(mat)
     w, v = np.linalg.eigh(mat.entries)
-    merge = _scaled(DEGENERACY_TOL, w)
+    merge = scaled_tol(DEGENERACY_TOL, w)
     cuts = [0, *(np.flatnonzero(np.diff(w) > merge) + 1).tolist(), len(w)]
     means = np.add.reduceat(w, cuts[:-1]) / np.diff(cuts)
     # the Observable checks all of eigh's columns at once, so no block checks its own
@@ -328,12 +321,12 @@ def classify(value: complex, eigenvalues: Sequence[float]) -> WeakValueClass:
     Sharp when within SHARP_TOL of some eigenvalue; unsharp when real and inside
     the closed eigenvalue range; strange otherwise, including every value
     with a non-negligible imaginary part.  Both tolerances are the spectrum's
-    (see `_scaled`), so scaling an observable does not change the class.
+    (see `linalg.scaled_tol`), so scaling an observable does not change the class.
     """
     if not eigenvalues:
         raise ValueError("eigenvalue list must be non-empty")
     v = complex(value)
-    sharp, real = _scaled(SHARP_TOL, eigenvalues), _scaled(REAL_TOL, eigenvalues)
+    sharp, real = scaled_tol(SHARP_TOL, eigenvalues), scaled_tol(REAL_TOL, eigenvalues)
     if any(abs(v - lam) <= sharp for lam in eigenvalues):
         return WeakValueClass.SWV
     if abs(v.imag) <= real and min(eigenvalues) <= v.real <= max(eigenvalues):
@@ -352,7 +345,8 @@ class WeakValueReport(NamedTuple):
 def weak_value(op: OperatorLike, pre: State, post: State) -> WeakValueReport:
     """Weak value <post|op|pre> / <post|pre> with classification.
 
-    Raises UndefinedWeakValue when pre and post are orthogonal.
+    Raises UndefinedWeakValue when pre and post are orthogonal or the quotient is
+    not a finite double.
     """
     if not isinstance(op, (Observable, Projector)):
         raise TypeError(f"expected Observable or Projector, got {type(op).__name__}")
@@ -367,4 +361,8 @@ def weak_value(op: OperatorLike, pre: State, post: State) -> WeakValueReport:
         numerator = complex(np.dot(op.eigenvalues, op.amplitudes(post.vec, pre.vec)))
         eigenvalues = op.eigenvalues
     value = numerator / overlap
+    if not np.isfinite(value):
+        raise UndefinedWeakValue(
+            "<post|O|pre> / <post|pre> is not a finite double; weak value undefined"
+        )
     return WeakValueReport(value, classify(value, eigenvalues), overlap)

@@ -23,7 +23,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import ScenarioFixtureError, UnknownEigenvalue
+from .errors import ScenarioFixtureError
 from .histories import (
     FailureMode,
     Family,
@@ -83,17 +83,10 @@ class Scenario:
                     f"{exp.observable}"
                 )
 
-    def _eigenvalue_one_projector(self, obs_name: str) -> Projector:
-        try:
-            return self.observables[obs_name].projector_for(1.0)
-        except KeyError:
-            raise UnknownEigenvalue(
-                f"observable {obs_name} has no eigenvalue-1 projector"
-            ) from None
-
     def family_for(self, obs_name: str) -> Family:
-        """Family with the observable's eigenvalue-1 projector as the event."""
-        return Family(self.pre, self._eigenvalue_one_projector(obs_name), self.post)
+        """Family with the observable's eigenvalue-1 projector as the event; an observable
+        without eigenvalue 1 raises UnknownEigenvalue, as `abl_probability` does."""
+        return Family(self.pre, self.observables[obs_name].projector_for(1.0), self.post)
 
     def check_all(self) -> list[CheckResult]:
         """Recompute every expected entry; `verify` reports each result."""

@@ -44,7 +44,7 @@ import numpy as np
 
 from .errors import NormalizationError, ParseError
 from .linalg import (
-    DECLARED_NORM_TOL, EXACT_TOL, REAL_TOL, ZERO_TOL, CVec, label_index,
+    DECLARED_NORM_TOL, EXACT_TOL, REAL_TOL, ZERO_TOL, CVec, label_index, scaled_tol,
 )
 from .quantum import Observable, Projector, State
 from .scenarios import Scenario
@@ -344,8 +344,8 @@ class _Parser:
             self.declare(name, "observable")
             cur.expect_sym("=")
             terms = _parse_sum(cur, _parse_obs_term)
-            # REAL_TOL on the line's scale, as quantum._scaled takes it for a spectrum
-            real_tol = REAL_TOL * max(abs(coeff) for coeff, _ in terms)
+            # REAL_TOL on the line's scale, as a spectrum takes it
+            real_tol = scaled_tol(REAL_TOL, [coeff for coeff, _ in terms])
             decl_terms = []
             for coeff, tok in terms:
                 if abs(coeff.imag) > real_tol:

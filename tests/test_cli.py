@@ -491,6 +491,43 @@ def test_orthogonal_pre_post_exits_two(capsys, tmp_path):
     assert err.startswith("error kind=UndefinedWeakValue ")
 
 
+#: An overlap of 6e-8 under eigenvalues of +-1e308: the weak value overflows.
+_OVERFLOW = """\
+basis a b
+state psi = 0.6 a + 0.8 b
+state phi = 0.8000001 a - 0.6 b
+pre psi
+post phi
+proj P = |a><a|
+proj Q = |b><b|
+obs X = 1e308*P + -1e308*Q
+"""
+
+
+def test_an_overflowing_weak_value_is_undefined(capsys, tmp_path):
+    # 0.96e308 / 6e-8 has no finite double, so no weak value is printed
+    path = tmp_path / "overflow.scn"
+    path.write_text(_OVERFLOW)
+    code, out, err = run_cli(capsys, "weakvalue", str(path), "--obs", "X")
+    assert (code, out) == (2, "")
+    assert err == ('error kind=UndefinedWeakValue msg="<post|O|pre> / <post|pre> '
+                   'is not a finite double; weak value undefined"\n')
+
+
+def test_a_family_without_eigenvalue_one_gives_the_abl_record(capsys, tmp_path):
+    # consistency and weight look up outcome 1 as abl does, so they fail with its record
+    path = tmp_path / "boxes.scn"
+    path.write_text(_README_THREE_BOX + "proj PA = |a><a|\nproj PAc = span(b, c)\n"
+                    "obs A = 1000*PA + 0*PAc\n")
+    code, out, err = run_cli(capsys, "abl", str(path), "--obs", "A", "--outcome", "1")
+    assert (code, out) == (1, "")
+    assert err == 'error kind=Usage msg="1.0 is not an eigenvalue of the observable"\n'
+    for command in ("consistency", "weight"):
+        assert run_cli(capsys, command, str(path), "--obs", "A") == (1, "", err)
+    code, out, _ = run_cli(capsys, "abl", str(path), "--obs", "A", "--outcome", "1000")
+    assert code == 0 and kv(out)["abl"] == "1"
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "prepost", "weakvalue", "builtin:three-box",

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import prepost
-from prepost import BasisMismatch, CMat, CVec, DimensionError
+from prepost import BasisMismatch, CMat, CVec, DimensionError, Projector
 from prepost.linalg import index_labels, inner, tensor, tensor_labels
 
 from conftest import random_vector
@@ -16,6 +16,17 @@ def test_default_labels_are_indices():
     v = CVec(np.array([1.0, 0.0, 0.0]))
     assert v.labels == ("0", "1", "2")
     assert index_labels(2) == ("0", "1")
+
+
+def test_vectors_matrices_and_projectors_take_one_label_rule():
+    # default labels 0..n-1, else exactly n labels, with one message for a miscount
+    for make in (lambda labels: CVec(np.ones(3), labels),
+                 lambda labels: CMat(np.eye(3), labels),
+                 lambda labels: Projector(np.eye(3)[:, :1], labels)):
+        assert make(()).labels == index_labels(3)
+        assert make(("x", "y", "z")).labels == ("x", "y", "z")
+        with pytest.raises(DimensionError, match="^2 labels for dimension 3$"):
+            make(("x", "y"))
 
 
 def test_basis_vector():

@@ -13,6 +13,7 @@ from prepost import (
     Projector,
     State,
     UndefinedWeakValue,
+    UnknownEigenvalue,
     WeakValueClass,
     abl_probability,
     as_observable,
@@ -207,6 +208,14 @@ def test_observable_validates_projector_data():
                 Observable(mat, lams, (p, p.complement()))
         else:
             assert Observable(mat, lams, (p, p.complement())).eigenvalues == lams
+
+
+def test_an_outcome_off_the_spectrum_is_an_unknown_eigenvalue():
+    obs = three_box().observables["C"]
+    message = r"^2\.0 is not an eigenvalue of the observable$"
+    for lookup in (obs.outcome_index, obs.projector_for):
+        with pytest.raises(UnknownEigenvalue, match=message):
+            lookup(2.0)
 
 
 @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e6, 1e12])

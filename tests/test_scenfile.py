@@ -16,6 +16,7 @@ from prepost import (
     three_box,
     weak_value,
 )
+from prepost.linalg import REAL_TOL
 from prepost.scenfile import (
     ProjDecl,
     ScenarioDoc,
@@ -276,6 +277,13 @@ def test_complex_eigenvalue_is_rejected_on_the_spectrum_scale():
     # 1e-11i next to eigenvalue 1 lies within REAL_TOL of the spectrum
     doc = parse(_SMALL_SPECTRUM + "obs O = 0.00000000001i*P + 1*Q\n")
     assert doc.obs[0].terms == ((0.0, "P"), (1.0, "Q"))
+    # the bound is REAL_TOL times the largest |eigenvalue|, at every scale
+    for scale in (1.0, 1e6):
+        under, over = (REAL_TOL * scale * factor for factor in (1 - 1e-6, 1 + 1e-6))
+        doc = parse(_SMALL_SPECTRUM + f"obs O = {scale!r}*P + {under!r}i*Q\n")
+        assert doc.obs[0].terms == ((scale, "P"), (0.0, "Q"))
+        with pytest.raises(ParseError, match="eigenvalue for 'Q' must be real"):
+            parse(_SMALL_SPECTRUM + f"obs O = {scale!r}*P + {over!r}i*Q\n")
 
 
 @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
