@@ -259,10 +259,15 @@ def _parse_sum(cur: _Cursor, parse_term: Callable[[_Cursor], tuple[complex, Toke
 
 
 def _finite_coefficient(cur: _Cursor) -> complex:
-    """A term's scalar; one that overflows is an error at the term's first token."""
+    """A term's scalar; one whose parts or size overflow is an error at the term's first
+    token, so every tolerance scaled by |coefficient| is finite."""
     first = cur.peek()
     coeff = _scalar_term(cur)
-    if not (math.isfinite(coeff.real) and math.isfinite(coeff.imag)):
+    try:
+        finite = math.isfinite(abs(coeff))
+    except OverflowError:  # both parts finite, |coeff| beyond a double
+        finite = False
+    if not finite:
         raise ParseError(f"coefficient {coeff!r} is not finite", first.line, first.col)
     return coeff
 

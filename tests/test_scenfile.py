@@ -286,6 +286,17 @@ def test_complex_eigenvalue_is_rejected_on_the_spectrum_scale():
             parse(_SMALL_SPECTRUM + f"obs O = {scale!r}*P + {over!r}i*Q\n")
 
 
+@pytest.mark.parametrize(
+    "directive", ["obs O = (1.5e308+1.5e308i)*P + 1*Q", "state s = (1.5e308+1.5e308i) a"]
+)
+def test_coefficient_whose_size_overflows_is_not_finite(directive):
+    # both parts are finite doubles but |coefficient| is not, so no scaled bound holds
+    text = _SMALL_SPECTRUM + directive + "\n"
+    with pytest.raises(ParseError, match="coefficient .* is not finite") as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (7, directive.index("(") + 1)
+
+
 @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
 def test_real_spectrum_parses_at_every_scale(scale):
     text = _SMALL_SPECTRUM + f"obs O = {scale!r}*P + {-2 * scale!r}*Q\n"
