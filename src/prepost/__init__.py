@@ -12,6 +12,7 @@ from .errors import (
     BasisMismatch,
     DimensionError,
     NormalizationError,
+    NotFinite,
     NotHermitian,
     ParseError,
     PointerRangeError,
@@ -24,7 +25,7 @@ from .errors import (
     UndefinedWeight,
     UnknownEigenvalue,
 )
-from .linalg import CMat, CVec, inner, tensor
+from .linalg import CMat, CVec, inner
 from .quantum import (
     Observable,
     Projector,
@@ -45,17 +46,17 @@ from .histories import (
     conditional_weight,
     consistency,
 )
-from .scenarios import CheckResult, Expectation, Scenario, builtin, hardy, three_box
+from .scenarios import CheckResult, Expectation, Scenario, builtin
 
-#: The module of each name that only `simulate` or a scenario file needs.  It is
-#: imported on the name's first access (PEP 562), so builtin queries never load it.
+#: The module of each name that only `simulate` or scenario text needs.  It is imported
+#: on the name's first access (PEP 562), so `import prepost` loads neither.
 _LAZY = dict.fromkeys(
     ("Branches", "Density", "PointerConfig", "PointerEnsemble", "entangle", "gaussian_amplitude",
      "pointer_density", "postselect", "sample", "simulate", "weak_value_estimate",
      "write_density_csv", "write_samples_csv"),
     "pointer",
 ) | dict.fromkeys(
-    ("ScenarioDoc", "doc_from_scenario", "parse", "serialize", "to_scenario"), "scenfile"
+    ("ScenarioDoc", "parse", "serialize", "to_scenario"), "scenfile"
 )
 
 
@@ -80,6 +81,7 @@ __all__ = [
     "FailureMode",
     "Family",
     "NormalizationError",
+    "NotFinite",
     "NotHermitian",
     "Observable",
     "ParseError",
@@ -107,10 +109,8 @@ __all__ = [
     "classify",
     "conditional_weight",
     "consistency",
-    "doc_from_scenario",
     "entangle",
     "gaussian_amplitude",
-    "hardy",
     "inner",
     "parse",
     "pointer_density",
@@ -119,8 +119,6 @@ __all__ = [
     "serialize",
     "simulate",
     "spectral_decompose",
-    "tensor",
-    "three_box",
     "to_scenario",
     "weak_value",
     "weak_value_estimate",

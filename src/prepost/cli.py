@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from pathlib import Path
 from typing import Optional
 
 from . import scenarios
@@ -111,13 +110,14 @@ def load_scenario(source: str) -> Scenario:
             return scenarios.builtin(source[len("builtin:") :])
         except KeyError as exc:
             raise UsageError(exc.args[0]) from None
-    path = Path(source)
-    if not path.is_file():
+    if not os.path.isfile(source):
         raise UsageError(f"no such scenario file: {source}")
-    from . import scenfile  # only file sources parse, so builtins never load it
+    from . import scenfile  # not at the top: a usage error needs no parser
 
-    text = scenfile.decode(path.read_bytes())
-    return scenfile.to_scenario(scenfile.parse(text), name=path.stem)
+    with open(source, "rb") as handle:
+        text = scenfile.decode(handle.read())
+    name = os.path.splitext(os.path.basename(source))[0]
+    return scenfile.to_scenario(scenfile.parse(text), name=name)
 
 
 # Each command gets its args, scenario, observable (None for verify) and the

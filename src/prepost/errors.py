@@ -36,6 +36,10 @@ class NormalizationError(PositionedError):
     """A state vector does not have unit norm."""
 
 
+class NotFinite(PrepostError, ValueError):
+    """An amplitude, matrix entry, projector column or eigenvalue is NaN or infinite."""
+
+
 class NotHermitian(PrepostError):
     """Matrix is not Hermitian within tolerance."""
 

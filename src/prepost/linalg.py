@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BasisMismatch, DimensionError
+from .errors import BasisMismatch, DimensionError, NotFinite
 
 # The tolerance table: each threshold of prepost, named for the decision it makes.  All are
 # absolute except where a line says it is taken times a spectrum's largest |eigenvalue|
@@ -45,11 +45,8 @@ REAL_TOL = 1e-10
 #: A family is consistent when r = 2|a||s-a| / (|a|^2 + |s-a|^2) is at most this, with
 #: a = <f|E|d> and s = <f|d>: r is scale-free and vanishes when the weak value of E is 0 or 1.
 CONSISTENCY_TOL = 1e-10
-#: A value within this of an exact one is it: a fixture, a real sqrt argument, a 0/1 entry.
+#: A value within this of an exact one is it: a fixture, a real sqrt argument.
 EXACT_TOL = 1e-12
-
-#: Separator used when tensor products concatenate factor basis labels.
-LABEL_JOIN = "_"
 
 #: A norm below this has a subnormal square: sqrt of the smallest normal double.
 _NORM_MIN = math.sqrt(sys.float_info.min)
@@ -59,6 +56,12 @@ def scaled_tol(tol: float, values: Sequence[complex]) -> float:
     """`tol` times the largest |value| of a spectrum or a file's eigenvalue list, the scale
     of eigenvalue and weak-value errors: scaling an observable changes no merge, match or class."""
     return tol * float(np.max(np.abs(values), initial=0.0))
+
+
+def check_finite(name: str, values) -> None:
+    """NotFinite, naming the argument `name`, unless every entry of `values` is finite."""
+    if not np.isfinite(values).all():
+        raise NotFinite(f"{name} holds a non-finite entry")
 
 
 def index_labels(n: int) -> tuple[str, ...]:
@@ -96,6 +99,7 @@ class CVec:
         amps = np.array(amps, dtype=complex)
         if amps.ndim != 1 or amps.size < 1:
             raise DimensionError("amplitude vector must be 1-d and non-empty")
+        check_finite("amps", amps)
         amps.setflags(write=False)
         self.amps, self.labels = amps, checked_labels(labels, amps.size)
 
@@ -153,6 +157,7 @@ class CMat:
             raise DimensionError(f"matrix must be square, got {entries.shape}")
         if entries.shape[0] < 1:
             raise DimensionError("matrix must be non-empty")
+        check_finite("entries", entries)
         entries.setflags(write=False)
         self.entries, self.labels = entries, checked_labels(labels, entries.shape[0])
 
@@ -175,12 +180,3 @@ def inner(u: CVec, v: CVec) -> complex:
     check_same_basis(u, v)
     return complex(np.vdot(u.amps, v.amps))
 
-
-def tensor_labels(a: Sequence[str], b: Sequence[str]) -> tuple[str, ...]:
-    """Row-major concatenation of factor labels, joined by an underscore."""
-    return tuple(f"{la}{LABEL_JOIN}{lb}" for la in a for lb in b)
-
-
-def tensor(a: CVec, b: CVec) -> CVec:
-    """Kronecker product of two vectors, over the row-major product basis."""
-    return CVec(np.kron(a.amps, b.amps), tensor_labels(a.labels, b.labels))

@@ -25,7 +25,8 @@ from .errors import (
 )
 from .linalg import (
     DEGENERACY_TOL, EQUAL_TOL, NORM_TOL, REAL_TOL, SHARP_TOL, ZERO_TOL,
-    CMat, CVec, check_same_basis, checked_labels, inner, label_index, scaled_tol,
+    CMat, CVec, check_finite, check_same_basis, checked_labels, inner, label_index,
+    scaled_tol,
 )
 
 
@@ -88,6 +89,7 @@ class Projector:
         if q.ndim != 2:
             raise DimensionError(f"projector columns must form a matrix, got {q.shape}")
         labels = checked_labels(labels, q.shape[0])
+        check_finite("q", q)
         if np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) > EQUAL_TOL:
             raise ValueError("projector columns are not orthonormal")
         q.setflags(write=False)
@@ -230,6 +232,7 @@ class Observable:
         columns form a unitary matrix, and hold those columns side by side."""
         if len(eigenvalues) != len(projectors):
             raise ValueError("eigenvalue list and projector list differ in length")
+        check_finite("eigenvalues", eigenvalues)
         merge = scaled_tol(DEGENERACY_TOL, eigenvalues)
         for lo, hi in zip(eigenvalues, eigenvalues[1:]):
             if hi < lo:

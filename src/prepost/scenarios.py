@@ -6,22 +6,13 @@ ABL probabilities, conditional weights, consistency functionals).
 `Scenario.check_all`, which `scencli verify` runs, recomputes every stored
 value through the library; loading a scenario does not.
 
-`three_box()` is the three-box paradox: a particle pre-selected in an
-equal superposition over boxes a, b, c and post-selected in a state that
-flips the sign of c.  The box-c weak value is -1.
-
-`hardy()` is the Hardy pair experiment: positron and electron
-interferometers sharing an annihilation arm.  The pair basis is the tensor
-product of per-particle overlapping/non-overlapping path states; the
-both-non-overlapping occupation weak value is -1.
+Each builtin is scenario text (see `scenfile`) in `BUILTINS`, with its fixture
+table.  Its amplitudes are `repr` decimals, so each reads back as one exact double.
 """
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Optional
-
-import numpy as np
 
 from .errors import ScenarioFixtureError
 from .histories import (
@@ -31,15 +22,8 @@ from .histories import (
     conditional_weight,
     consistency,
 )
-from .linalg import EXACT_TOL, CVec, inner, tensor
-from .quantum import (
-    Observable,
-    Projector,
-    State,
-    WeakValueClass,
-    as_observable,
-    weak_value,
-)
+from .linalg import EXACT_TOL, inner
+from .quantum import Observable, State, WeakValueClass, weak_value
 
 
 class Expectation(NamedTuple):
@@ -69,14 +53,12 @@ class Scenario:
         pre: State,
         post: State,
         observables: dict[str, Observable],
-        expected: Optional[dict[str, Expectation]] = None,
-        states: Optional[dict[str, State]] = None,
+        expected: dict[str, Expectation],
+        states: dict[str, State],
     ):
         self.name, self.basis_labels, self.pre, self.post = name, basis_labels, pre, post
-        self.observables = observables
-        self.expected = {} if expected is None else expected
-        self.states = {} if states is None else states
-        for key, exp in self.expected.items():
+        self.observables, self.expected, self.states = observables, expected, states
+        for key, exp in expected.items():
             if exp.observable is not None and exp.observable not in observables:
                 raise ScenarioFixtureError(
                     f"{name}: expectation {key} names unknown observable "
@@ -127,16 +109,57 @@ class Scenario:
         raise ScenarioFixtureError(f"unknown expectation kind {exp.kind!r}")
 
 
-def three_box() -> Scenario:
-    labels = ("a", "b", "c")
-    s = 1.0 / math.sqrt(3.0)
-    pre = State(CVec([s, s, s], labels), "psi")
-    post = State(CVec([s, s, -s], labels), "phi")
-    observables = {
-        name: as_observable(Projector.on_labels(labels, (box,)))
-        for name, box in (("A", "a"), ("B", "b"), ("C", "c"))
-    }
-    expected = {
+THREE_BOX = """\
+# The three-box paradox: a particle pre-selected in an equal superposition over boxes
+# a, b, c and post-selected in a state that flips the sign of c has box-c weak value -1.
+# phi_prime and phi_double_prime complete phi to an orthonormal basis.
+basis a b c
+state psi = 0.5773502691896258 a + 0.5773502691896258 b + 0.5773502691896258 c
+state phi = 0.5773502691896258 a + 0.5773502691896258 b - 0.5773502691896258 c
+state phi_prime = 0.7071067811865475 a - 0.7071067811865475 b
+state phi_double_prime = 0.4082482904638631 a + 0.4082482904638631 b + 0.8164965809277261 c
+pre psi
+post phi
+proj PA = |a><a|
+proj PAc = span(b, c)
+proj PB = |b><b|
+proj PBc = span(a, c)
+proj PC = |c><c|
+proj PCc = span(a, b)
+obs A = 1*PA + 0*PAc
+obs B = 1*PB + 0*PBc
+obs C = 1*PC + 0*PCc
+"""
+
+HARDY = """\
+# Hardy's pair experiment: positron (p) and electron (e) interferometers, with
+# overlapping (O) and non-overlapping (NO) arms, that share an annihilation arm.
+# psi is the product state less its annihilated Op_Oe part, renormalized, and the
+# both-non-overlapping occupation N1 has weak value -1.
+basis NOp_NOe NOp_Oe Op_NOe Op_Oe
+state product = 0.5 NOp_NOe + 0.5 NOp_Oe + 0.5 Op_NOe + 0.5 Op_Oe
+state psi = 0.5773502691896257 NOp_NOe + 0.5773502691896257 NOp_Oe + 0.5773502691896257 Op_NOe
+state phi = 0.5 NOp_NOe - 0.5 NOp_Oe - 0.5 Op_NOe + 0.5 Op_Oe
+pre psi
+post phi
+proj P1 = |NOp_NOe><NOp_NOe|
+proj P1c = span(NOp_Oe, Op_NOe, Op_Oe)
+proj P2 = |Op_Oe><Op_Oe|
+proj P2c = span(NOp_NOe, NOp_Oe, Op_NOe)
+proj P3 = |NOp_Oe><NOp_Oe|
+proj P3c = span(NOp_NOe, Op_NOe, Op_Oe)
+proj P4 = |Op_NOe><Op_NOe|
+proj P4c = span(NOp_NOe, NOp_Oe, Op_Oe)
+obs N1 = 1*P1 + 0*P1c
+obs N2 = 1*P2 + 0*P2c
+obs N3 = 1*P3 + 0*P3c
+obs N4 = 1*P4 + 0*P4c
+"""
+
+#: Registry behind the CLI's `builtin:NAME` scenario sources: each builtin's scenario
+#: text and the table of its fixtures.
+BUILTINS = {
+    "three-box": (THREE_BOX, {
         "wv_A": Expectation("weak_value", 1.0, "A", wv_class=WeakValueClass.SWV),
         "wv_B": Expectation("weak_value", 1.0, "B", wv_class=WeakValueClass.SWV),
         "wv_C": Expectation("weak_value", -1.0, "C", wv_class=WeakValueClass.STWV),
@@ -144,70 +167,27 @@ def three_box() -> Scenario:
         "weight_A": Expectation("weight", 1.0, "A"),
         "weight_B": Expectation("weight", 1.0, "B"),
         "weight_C": Expectation("weight", 1.0, "C"),
-    }
-    states = {
-        "phi_prime": State(
-            CVec([1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0), 0.0], labels), "phi_prime"
-        ),
-        "phi_double_prime": State(
-            CVec(np.array([1.0, 1.0, 2.0]) / math.sqrt(6.0), labels), "phi_double_prime"
-        ),
-    }
-    return Scenario("three-box", labels, pre, post, observables, expected, states)
-
-
-def hardy_product_state() -> State:
-    """Both particles behind their first beam splitter: an even split of
-
-    overlapping (O) and non-overlapping (NO) arms, positron tensor electron."""
-    positron = CVec(np.array([1.0, 1.0]) / math.sqrt(2.0), ("NOp", "Op"))
-    electron = CVec(np.array([1.0, 1.0]) / math.sqrt(2.0), ("NOe", "Oe"))
-    return State(tensor(positron, electron), "product")
-
-
-def hardy() -> Scenario:
-    product = hardy_product_state()
-    labels = product.labels  # NOp_NOe, NOp_Oe, Op_NOe, Op_Oe
-    occupation = {
-        "N1": "NOp_NOe",
-        "N2": "Op_Oe",
-        "N3": "NOp_Oe",
-        "N4": "Op_NOe",
-    }
-    projectors = {
-        name: Projector.on_labels(labels, (basis_label,))
-        for name, basis_label in occupation.items()
-    }
-    # Annihilation removes the both-overlapping component; the remainder,
-    # renormalized, is the pre-selection state.
-    survive = projectors["N2"].complement()
-    pre = State.normalized(survive.apply(product.vec), label="psi")
-    post = State(
-        CVec(np.array([1.0, -1.0, -1.0, 1.0]) / 2.0, labels), "phi"
-    )
-    observables = {name: as_observable(p) for name, p in projectors.items()}
-    expected = {
+    }),
+    "hardy": (HARDY, {
         "wv_N1": Expectation("weak_value", -1.0, "N1", wv_class=WeakValueClass.STWV),
         "wv_N2": Expectation("weak_value", 0.0, "N2", wv_class=WeakValueClass.SWV),
         "wv_N3": Expectation("weak_value", 1.0, "N3", wv_class=WeakValueClass.SWV),
         "wv_N4": Expectation("weak_value", 1.0, "N4", wv_class=WeakValueClass.SWV),
         "overlap_sq": Expectation("overlap_sq", 1.0 / 12.0),
-        "functional_N1": Expectation(
-            "functional", -1.0 / 6.0, "N1", failure=FailureMode.STRANGE
-        ),
+        "functional_N1": Expectation("functional", -1.0 / 6.0, "N1", failure=FailureMode.STRANGE),
         "weight_N1": Expectation("weight", 1.0, "N1"),
-    }
-    states = {"product": product}
-    return Scenario("hardy", labels, pre, post, observables, expected, states)
-
-
-#: Registry behind the CLI's `builtin:NAME` scenario sources.
-BUILTINS = {"three-box": three_box, "hardy": hardy}
+    }),
+}
 
 
 def builtin(name: str) -> Scenario:
+    """The builtin `name`: its text parsed and built, with its fixture table."""
     if name not in BUILTINS:
         raise KeyError(
             f"unknown builtin scenario {name!r}; available: {', '.join(sorted(BUILTINS))}"
         )
-    return BUILTINS[name]()
+    from . import scenfile  # here, as scenfile imports Scenario from this module
+
+    text, expected = BUILTINS[name]
+    sc = scenfile.to_scenario(scenfile.parse(text), name)
+    return Scenario(name, sc.basis_labels, sc.pre, sc.post, sc.observables, expected, sc.states)

@@ -40,9 +40,7 @@ import re
 from types import MappingProxyType
 from typing import Callable, NamedTuple, Optional
 
-import numpy as np
-
-from .errors import NormalizationError, ParseError
+from .errors import NormalizationError, NotFinite, ParseError
 from .linalg import (
     DECLARED_NORM_TOL, EXACT_TOL, REAL_TOL, ZERO_TOL, CVec, label_index, scaled_tol,
 )
@@ -499,12 +497,17 @@ def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
     states: dict[str, State] = {}
     for st in doc.states:
         line = doc.lines.get(st.name)
-        amps = np.zeros(len(doc.basis), dtype=complex)
+        amps = [0j] * len(doc.basis)  # Python sums: one past a double is inf, not a warning
         for coeff, label in st.terms:
             if label not in index:
                 raise ParseError(f"unknown basis label {label!r} in state {st.name!r}", line)
             amps[index[label]] += coeff
-        vec = CVec(amps, doc.basis)
+        try:
+            vec = CVec(amps, doc.basis)
+        except NotFinite:
+            raise NormalizationError(
+                f"state {st.name!r} sums a basis label's terms past a double", line
+            ) from None
         norm = vec.norm()
         # a `normalize` state may have any scale, so only an exactly zero one is zero
         if norm <= (0.0 if st.normalize else ZERO_TOL):
@@ -569,58 +572,3 @@ def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
         states=states,
     )
 
-
-def doc_from_scenario(sc: Scenario) -> ScenarioDoc:
-    """Express a Scenario in the text format.
-
-    Observables must have basis-diagonal spectral projectors (all built-ins
-    do); anything else has no span() spelling and is rejected.
-    """
-    labels = sc.basis_labels
-
-    def state_terms(state: State) -> tuple[tuple[complex, str], ...]:
-        return tuple(
-            (complex(a), lab)
-            for a, lab in zip(state.vec.amps, labels)
-            if a != 0
-        )
-
-    pre_name = sc.pre.label or "pre"
-    post_name = sc.post.label or "post"
-    named = [(pre_name, sc.pre), (post_name, sc.post), *sc.states.items()]
-    state_decls = []
-    seen = set()
-    for name, state in named:
-        if name in seen:
-            continue
-        seen.add(name)
-        state_decls.append(StateDecl(name, state_terms(state)))
-
-    proj_decls = []
-    obs_decls = []
-    for oname, obs in sc.observables.items():
-        terms = []
-        for k, (lam, proj) in enumerate(zip(obs.eigenvalues, obs.projectors)):
-            # Q's squared row norms are the diagonal of QQ^dagger, and a projector
-            # whose diagonal holds only 0s and 1s is diagonal
-            rows = np.linalg.norm(proj.q, axis=1)
-            ones = np.abs(rows - 1.0) <= EXACT_TOL
-            if np.max(rows[~ones], initial=0.0) > EXACT_TOL:
-                raise ValueError(
-                    f"observable {oname!r} has a non-diagonal spectral projector; "
-                    "cannot express it as span() of basis labels"
-                )
-            members = tuple(lab for lab, one in zip(labels, ones) if one)
-            pname = f"P_{oname}_{k}"
-            proj_decls.append(ProjDecl(pname, "span", members))
-            terms.append((float(lam), pname))
-        obs_decls.append(ObsDecl(oname, tuple(terms)))
-
-    return ScenarioDoc(
-        basis=labels,
-        states=tuple(state_decls),
-        projs=tuple(proj_decls),
-        obs=tuple(obs_decls),
-        pre=pre_name,
-        post=post_name,
-    )

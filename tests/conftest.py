@@ -4,6 +4,8 @@ All randomness flows through seeded generators created per test, so every
 run sees the same draws.
 """
 
+import math
+
 import numpy as np
 import pytest
 
@@ -56,6 +58,18 @@ def random_state_pair(rng, dim: int, min_overlap: float = 0.05, real: bool = Fal
         post = random_state(rng, dim, real)
         if abs(np.vdot(post.vec.amps, pre.vec.amps)) >= min_overlap:
             return pre, post
+
+
+def states_with_weak_value(wv: float, alpha: float) -> tuple[State, State]:
+    """Pre-selection cos(alpha) a + sin(alpha) b and a unit post-selection at which
+    |a><a| has the real weak value wv: <post|a><a|pre> and <post|b><b|pre> are wv and
+    1 - wv times the overlap, each one product, so wv holds to rounding at any overlap.
+    The overlap is near 1 for alpha near pi/2 and near sin(alpha) for small alpha and wv."""
+    c, s = math.cos(alpha), math.sin(alpha)
+    overlap = 1.0 / math.hypot(wv / c, (1.0 - wv) / s)
+    labels = ("a", "b")
+    post = CVec([wv * overlap / c, (1.0 - wv) * overlap / s], labels)
+    return State(CVec([c, s], labels)), State(post)
 
 
 def random_hermitian(rng, dim: int) -> CMat:

@@ -40,7 +40,7 @@ from prepost.scenfile import _tokenize
 
 
 def test_criterion_01_three_box_weak_values(acceptance):
-    sc = scenarios.three_box()
+    sc = scenarios.builtin("three-box")
     expected = {"A": 1.0, "B": 1.0, "C": -1.0}
     dev = max(
         abs(weak_value(sc.observables[name], sc.pre, sc.post).value - want)
@@ -50,7 +50,7 @@ def test_criterion_01_three_box_weak_values(acceptance):
 
 
 def test_criterion_02_three_box_abl(acceptance):
-    sc = scenarios.three_box()
+    sc = scenarios.builtin("three-box")
     direct = abl_probability(sc.observables["C"], sc.pre, sc.post, 1.0)
     via_wv = abl_from_weak_values(-1.0)
     ok = abs(direct - 0.2) <= 1e-12 and abs(via_wv - 0.2) <= 1e-12
@@ -58,7 +58,7 @@ def test_criterion_02_three_box_abl(acceptance):
 
 
 def test_criterion_03_three_box_conditional_weights(acceptance):
-    sc = scenarios.three_box()
+    sc = scenarios.builtin("three-box")
     dev = 0.0
     for name in ("A", "B", "C"):
         fam = sc.family_for(name)
@@ -67,7 +67,7 @@ def test_criterion_03_three_box_conditional_weights(acceptance):
 
 
 def test_criterion_04_hardy_numbers(acceptance):
-    sc = scenarios.hardy()
+    sc = scenarios.builtin("hardy")
     expected = {"N1": -1.0, "N2": 0.0, "N3": 1.0, "N4": 1.0}
     dev = max(
         abs(weak_value(sc.observables[name], sc.pre, sc.post).value - want)
@@ -150,7 +150,7 @@ def test_criterion_07_abl_weight_match_on_consistent_families(acceptance):
                 weight = conditional_weight(fam.e, fam.d, fam.f)
                 dev = max(dev, abs(abl - weight))
                 trials += 1
-    sc = scenarios.three_box()
+    sc = scenarios.builtin("three-box")
     fam = sc.family_for("C")
     gap = abs(
         abl_probability(sc.observables["C"], sc.pre, sc.post, 1.0)
@@ -165,7 +165,7 @@ def test_criterion_07_abl_weight_match_on_consistent_families(acceptance):
 
 
 def test_criterion_08_pointer_means(acceptance):
-    sc = scenarios.three_box()
+    sc = scenarios.builtin("three-box")
     obs = sc.observables["C"]
 
     cfg_wide = PointerConfig(delta=100.0)
@@ -189,7 +189,7 @@ def test_criterion_08_pointer_means(acceptance):
 
 
 def test_criterion_09_sharp_regime_mass(acceptance):
-    sc = scenarios.three_box()
+    sc = scenarios.builtin("three-box")
     obs = sc.observables["C"]
     cfg = PointerConfig(delta=0.01)
     amps, _ = postselect(entangle(obs, sc.pre, cfg), sc.post, cfg)
@@ -232,7 +232,7 @@ def test_criterion_11_cli_verify_roundtrip_fuzz(acceptance, capsys):
     roundtrip_dev = 0.0
     for name in ("three-box", "hardy"):
         sc = scenarios.builtin(name)
-        text = scenfile.serialize(scenfile.doc_from_scenario(sc))
+        text = scenfile.serialize(scenfile.parse(scenarios.BUILTINS[name][0]))
         sc2 = scenfile.to_scenario(scenfile.parse(text), name=name)
         for obs_name, obs in sc.observables.items():
             before = weak_value(obs, sc.pre, sc.post).value
@@ -241,7 +241,7 @@ def test_criterion_11_cli_verify_roundtrip_fuzz(acceptance, capsys):
             ).value
             roundtrip_dev = max(roundtrip_dev, abs(before - after))
 
-    base = scenfile.serialize(scenfile.doc_from_scenario(scenarios.three_box()))
+    base = scenfile.serialize(scenfile.parse(scenarios.THREE_BOX))
     lines = base.splitlines()
     spots = []
     for li, line in enumerate(lines):

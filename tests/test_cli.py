@@ -146,7 +146,7 @@ def test_simulate_stdout_does_not_depend_on_samples_out(capsys, tmp_path):
 
 
 def _three_box_c_density(delta, coupling=1.0):
-    sc = scenarios.three_box()
+    sc = scenarios.builtin("three-box")
     cfg = PointerConfig(delta=delta, coupling=coupling)
     amps, _ = postselect(entangle(sc.observables["C"], sc.pre, cfg), sc.post, cfg)
     return pointer_density(amps, cfg)
@@ -255,9 +255,8 @@ def test_verify_reports_a_failing_fixture(capsys, monkeypatch):
 
 
 def test_weakvalue_from_serialized_builtin_file(capsys, tmp_path):
-    doc = scenfile.doc_from_scenario(scenarios.three_box())
     path = tmp_path / "boxes.scen"
-    path.write_text(scenfile.serialize(doc))
+    path.write_text(scenfile.serialize(scenfile.parse(scenarios.THREE_BOX)))
     code, out, _ = run_cli(capsys, "weakvalue", str(path), "--obs", "C")
     assert code == 0
     d = kv(out)
@@ -460,11 +459,11 @@ def test_checks_run_in_one_order_with_exact_messages(capsys, argv, msg):
 
 
 def test_a_key_error_inside_a_builder_is_not_an_unknown_name(capsys, monkeypatch):
-    def broken():
+    def broken(text):
         return {}["missing"]
 
-    monkeypatch.setitem(scenarios.BUILTINS, "broken", broken)
-    code, out, err = run_cli(capsys, "verify", "builtin:broken")
+    monkeypatch.setattr(scenfile, "parse", broken)
+    code, out, err = run_cli(capsys, "verify", "builtin:hardy")
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1 and "unknown builtin" not in err
 
@@ -632,6 +631,7 @@ def test_overflowing_pointer_centre_gives_one_error_record(warnings):
 
 #: Imports numpy, then the CLI, and runs it in-process when given arguments;
 #: prints the exit code and every module loaded beyond numpy's own to stderr.
+#: It runs under -S, as no site hook (a .pth file) may load modules before it looks.
 _LOADED_PROBE = (
     "import sys, numpy\n"
     "before = set(sys.modules)\n"
@@ -640,31 +640,34 @@ _LOADED_PROBE = (
     "print(code, *sorted(set(sys.modules) - before), file=sys.stderr)\n"
 )
 
-#: The sampler's threads come from `threading`, which numpy has already imported.
-_NEVER = {"concurrent.futures", "multiprocessing"}
-_SAMPLING_AND_FILES = {"prepost.pointer", "prepost.scenfile", "dataclasses", "numpy.random"}
+#: The sampler's threads come from `threading`, which numpy has already imported;
+#: the CLI opens a file by its name, without `pathlib`.
+_NEVER = {"concurrent.futures", "multiprocessing", "pathlib"}
+_SAMPLING = {"prepost.pointer", "dataclasses", "numpy.random"}
 
 
 def test_import_loads_no_executor_modules(tmp_path):
     # startup cost shows on every short scencli process, so each subcommand
-    # loads only the modules it calls: builtin queries neither parse nor sample
-    path = tmp_path / "boxes.scen"
-    path.write_text(scenfile.serialize(scenfile.doc_from_scenario(scenarios.three_box())))
-    builtin = _NEVER | _SAMPLING_AND_FILES
+    # loads only the modules it calls: queries parse their scenario text but never sample
+    path = tmp_path / "boxes.scn"
+    path.write_text(scenarios.THREE_BOX)
+    query, parsed = _NEVER | _SAMPLING, {"prepost.scenfile"}
     table = [
-        ((), builtin, set()),
-        (("weakvalue", "builtin:three-box", "--obs", "C"), builtin, set()),
-        (("consistency", "builtin:hardy", "--obs", "N1"), builtin, set()),
-        (("abl", "builtin:three-box", "--obs", "C", "--outcome", "1"), builtin, set()),
-        (("weight", "builtin:hardy", "--obs", "N1"), builtin, set()),
-        (("verify", "builtin:hardy"), builtin, set()),
-        (("weakvalue", str(path), "--obs", "C"), _NEVER | {"prepost.pointer", "dataclasses"},
-         {"prepost.scenfile"}),
-        (SIMULATE, _NEVER | {"prepost.scenfile", "dataclasses"}, {"prepost.pointer"}),
+        ((), query | parsed, set()),
+        (("weakvalue", "builtin:three-box", "--obs", "C"), query, parsed),
+        (("consistency", "builtin:hardy", "--obs", "N1"), query, parsed),
+        (("abl", "builtin:three-box", "--obs", "C", "--outcome", "1"), query, parsed),
+        (("weight", "builtin:hardy", "--obs", "N1"), query, parsed),
+        (("verify", "builtin:hardy"), query, parsed),
+        (("weakvalue", str(path), "--obs", "C"), query, parsed),
+        (SIMULATE, _NEVER | {"dataclasses"}, {"prepost.pointer", "prepost.scenfile"}),
     ]
+    roots = (os.path.dirname(os.path.dirname(m.__file__)) for m in (cli, np))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(roots)}
     for argv, absent, present in table:
         proc = subprocess.run(
-            [sys.executable, "-c", _LOADED_PROBE, *argv], capture_output=True, text=True
+            [sys.executable, "-S", "-c", _LOADED_PROBE, *argv], capture_output=True, text=True,
+            env=env,
         )
         status, *loaded = proc.stderr.split()
         assert status == "0", (argv, proc.stderr)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,11 @@ from prepost import (
     abl_from_weak_values,
     abl_probability,
     as_observable,
+    builtin,
     conditional_weight,
     consistency,
     inner,
     spectral_decompose,
-    three_box,
     weak_value,
 )
 from prepost.errors import BasisMismatch, DimensionError
@@ -31,11 +33,12 @@ from conftest import (
     random_projector,
     random_state,
     random_state_pair,
+    states_with_weak_value,
 )
 
 
 def _three_box_family(obs_name="C"):
-    sc = three_box()
+    sc = builtin("three-box")
     return sc, sc.family_for(obs_name)
 
 
@@ -157,8 +160,29 @@ def test_projectors_stay_columns_until_mat_is_read(rng):
         assert "mat" not in vars(p)
 
 
+#: alpha for overlaps near 1 and 1e-6 in `states_with_weak_value`, at weak values near 0.
+NEAR_ONE_AND_TINY_OVERLAP = pytest.mark.parametrize(
+    "alpha, overlap", [(math.pi / 2 - 1e-5, 1.0), (1e-6, 1e-6)], ids=["overlap-1", "overlap-1e-6"]
+)
+
+
+@NEAR_ONE_AND_TINY_OVERLAP
+@pytest.mark.parametrize("factor, consistent", [(1 - 1e-6, True), (1 + 1e-6, False)])
+def test_consistency_verdict_turns_at_the_tolerance(alpha, overlap, factor, consistent):
+    # the paper's CONSISTENCY_TOL of 1e-10 is written here, so a changed table entry fails.
+    # For a real weak value t, r = 2|t||1-t| / (t^2 + (1-t)^2); this t, its small root
+    # without cancellation, puts r at 1e-10 * factor.
+    r = 1e-10 * factor
+    t = r / ((1.0 + r) * (1.0 + math.sqrt(1.0 - 2.0 * r / (1.0 + r))))
+    pre, post = states_with_weak_value(t, alpha)
+    assert abs(inner(post.vec, pre.vec)) == pytest.approx(overlap, rel=1e-3)
+    report = consistency(Family(pre, Projector.on_labels(pre.labels, ("a",)), post))
+    assert report.consistent is consistent
+    assert report.failure_mode is (FailureMode.NONE if consistent else FailureMode.UNSHARP)
+
+
 def test_abl_probability_three_box():
-    sc = three_box()
+    sc = builtin("three-box")
     obs = sc.observables["C"]
     assert abl_probability(obs, sc.pre, sc.post, 1.0) == pytest.approx(0.2, abs=1e-12)
     assert abl_probability(obs, sc.pre, sc.post, 0.0) == pytest.approx(0.8, abs=1e-12)
@@ -171,7 +195,7 @@ def test_abl_probability_identity_observable(rng):
 
 
 def test_abl_probability_unknown_outcome():
-    sc = three_box()
+    sc = builtin("three-box")
     with pytest.raises(UnknownEigenvalue):
         abl_probability(sc.observables["C"], sc.pre, sc.post, 2.0)
 
@@ -222,7 +246,7 @@ def test_abl_routes_agree_for_projector_outcomes(rng):
 
 
 def test_conditional_weight_three_box_is_unity():
-    sc = three_box()
+    sc = builtin("three-box")
     for name in ("A", "B", "C"):
         fam = sc.family_for(name)
         assert conditional_weight(fam.e, fam.d, fam.f) == pytest.approx(

@@ -7,7 +7,7 @@ import pytest
 
 import prepost
 from prepost import BasisMismatch, CMat, CVec, DimensionError, Projector
-from prepost.linalg import index_labels, inner, tensor, tensor_labels
+from prepost.linalg import index_labels, inner
 
 from conftest import random_vector
 
@@ -101,22 +101,6 @@ def test_matrix_constructors_and_hermiticity():
 def test_nonsquare_matrix_rejected():
     with pytest.raises(DimensionError):
         CMat(np.ones((2, 3)))
-
-
-def test_tensor_labels_are_row_major():
-    assert tensor_labels(("x", "y"), ("0", "1")) == ("x_0", "x_1", "y_0", "y_1")
-    # associativity of the join
-    left = tensor_labels(tensor_labels(("a", "b"), ("c",)), ("d", "e"))
-    right = tensor_labels(("a", "b"), tensor_labels(("c",), ("d", "e")))
-    assert left == right
-
-
-def test_tensor_matches_kron(rng):
-    u = random_vector(rng, 2)
-    v = random_vector(rng, 3)
-    tv = tensor(u, v)
-    assert np.allclose(tv.amps, np.kron(u.amps, v.amps))
-    assert tv.labels == tensor_labels(u.labels, v.labels)
 
 
 def test_thresholds_are_written_only_in_the_tolerance_table():

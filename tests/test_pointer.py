@@ -22,6 +22,7 @@ from prepost import (
     State,
     abl_probability,
     as_observable,
+    builtin,
     entangle,
     gaussian_amplitude,
     pointer_density,
@@ -29,8 +30,6 @@ from prepost import (
     sample,
     simulate,
     spectral_decompose,
-    three_box,
-    hardy,
     weak_value,
     weak_value_estimate,
     write_density_csv,
@@ -49,7 +48,7 @@ from conftest import diagonal_scenario_text, random_state_pair
 
 
 def _three_box_amps(cfg):
-    sc = three_box()
+    sc = builtin("three-box")
     bs = entangle(sc.observables["C"], sc.pre, cfg)
     return postselect(bs, sc.post, cfg)
 
@@ -99,7 +98,7 @@ def _branch_norms(bs, cfg):
 
 
 def test_entangle_three_box_branches():
-    sc = three_box()
+    sc = builtin("three-box")
     cfg = PointerConfig(delta=1.0)
     bs = entangle(sc.observables["C"], sc.pre, cfg)
     assert bs.kept.tolist() == [0, 1] and bs.centers.tolist() == [0.0, 1.0]
@@ -110,7 +109,7 @@ def test_entangle_three_box_branches():
 
 
 def test_entangle_eigenstate_gives_single_branch():
-    sc = three_box()
+    sc = builtin("three-box")
     cfg = PointerConfig(delta=1.0, coupling=2.0, x0=0.5)
     pre = State(CVec.basis_vector("c", sc.basis_labels))
     bs = entangle(sc.observables["C"], pre, cfg)
@@ -121,7 +120,7 @@ def test_entangle_eigenstate_gives_single_branch():
 
 def test_entangle_branch_norms_are_born_probabilities(rng):
     cfg = PointerConfig(delta=1.0)
-    obs = three_box().observables["A"]
+    obs = builtin("three-box").observables["A"]
     for _ in range(20):
         pre, _ = random_state_pair(rng, 3)
         pre = State(CVec(pre.vec.amps, obs.labels))
@@ -135,7 +134,7 @@ def test_entangle_branch_norms_are_born_probabilities(rng):
 def test_entangle_holds_branches_to_the_state_norm_check():
     # the branches split the state: their total norm is the state's own, which
     # State holds to NORM_TOL, so the branches need no norm check of their own
-    sc = three_box()
+    sc = builtin("three-box")
     pre = State(CVec(sc.pre.vec.amps * (1 + 8e-11), sc.pre.vec.labels))
     cfg = PointerConfig(delta=1.0)
     bs = entangle(sc.observables["C"], pre, cfg)
@@ -143,7 +142,7 @@ def test_entangle_holds_branches_to_the_state_norm_check():
 
 
 def test_entangle_dimension_mismatch():
-    sc = three_box()
+    sc = builtin("three-box")
     with pytest.raises(DimensionError):
         entangle(sc.observables["A"], State.normalized(np.ones(2)), PointerConfig(delta=1.0))
 
@@ -151,7 +150,7 @@ def test_entangle_dimension_mismatch():
 def test_overflowing_centres_are_one_pointer_range_error():
     # x0 + coupling * lambda overflows in the add (three-box C, eigenvalue 1) or in
     # the multiply (eigenvalue 2); pytest turns a numpy RuntimeWarning into an error
-    sc = three_box()
+    sc = builtin("three-box")
     doubled = spectral_decompose(CMat(np.diag([0.0, 2.0, 0.0]), sc.basis_labels))
     for obs, cfg in ((sc.observables["C"], PointerConfig(delta=10.0, x0=1.7e308, coupling=1e308)),
                      (doubled, PointerConfig(delta=10.0, coupling=1e308))):
@@ -171,7 +170,7 @@ def test_postselect_three_box_amplitudes():
 def test_postselect_completeness_over_a_basis():
     # summing |amplitude|^2 over an orthonormal post basis recovers each
     # branch norm
-    sc = three_box()
+    sc = builtin("three-box")
     cfg = PointerConfig(delta=1.0)
     bs = entangle(sc.observables["C"], sc.pre, cfg)
     posts = [sc.post, sc.states["phi_prime"], sc.states["phi_double_prime"]]
@@ -191,7 +190,7 @@ def test_branch_amplitudes_are_the_family_amplitudes(rng):
     # the pointer, ABL and the weak value all read <post|P_k|pre> from one vector
     cfg = PointerConfig(delta=1.0)
     file = to_scenario(parse(diagonal_scenario_text(64, rng)))
-    for sc in (three_box(), hardy(), file):
+    for sc in (builtin("three-box"), builtin("hardy"), file):
         for obs in sc.observables.values():
             bs = entangle(obs, sc.pre, cfg)
             amps, _ = postselect(bs, sc.post, cfg)
@@ -202,7 +201,7 @@ def test_branch_amplitudes_are_the_family_amplitudes(rng):
 def test_three_box_empty_box_amplitude_is_exactly_zero():
     # <phi|(1 - P_A)|psi> = 1/3 - 1/3: the blocks of V^dagger pre and V^dagger post
     # cancel exactly, where a sum over the n-vector P|pre> left 2.9e-18
-    sc, cfg = three_box(), PointerConfig(delta=1.0)
+    sc, cfg = builtin("three-box"), PointerConfig(delta=1.0)
     for name in ("A", "B"):
         amps, _ = postselect(entangle(sc.observables[name], sc.pre, cfg), sc.post, cfg)
         assert dict(amps)[0.0] == 0.0, name
@@ -217,13 +216,13 @@ def test_simulate_builds_one_density(monkeypatch):
         real_init(self, *args)
 
     monkeypatch.setattr(Density, "__init__", counted_init)
-    sc = three_box()
+    sc = builtin("three-box")
     simulate(sc.observables["C"], sc.pre, sc.post, PointerConfig(delta=1.0), 10, seed=0)
     assert len(built) == 1
 
 
 def test_postselect_impossible_when_orthogonal_to_all_branches():
-    sc = three_box()
+    sc = builtin("three-box")
     cfg = PointerConfig(delta=1.0)
     bs = entangle(sc.observables["C"], sc.pre, cfg)
     with pytest.raises(PostSelectionImpossible):
@@ -231,7 +230,7 @@ def test_postselect_impossible_when_orthogonal_to_all_branches():
 
 
 def test_postselect_rejects_a_post_state_in_another_basis():
-    sc = three_box()
+    sc = builtin("three-box")
     cfg = PointerConfig(delta=1.0)
     bs = entangle(sc.observables["C"], sc.pre, cfg)
     post = State(CVec(sc.post.vec.amps, ("x", "y", "z")))
@@ -281,12 +280,12 @@ def test_rate_limits_recover_projective_and_overlap_statistics():
 
 
 def test_wide_pointer_mean_approaches_weak_value(rng):
-    sc = three_box()
+    sc = builtin("three-box")
     cfg = PointerConfig(delta=100.0)
     amps, _ = _three_box_amps(cfg)
     assert Density(amps, 100.0).mean() == pytest.approx(-1.0, abs=1e-3)
 
-    hd = hardy()
+    hd = builtin("hardy")
     bs = entangle(hd.observables["N1"], hd.pre, cfg)
     hardy_amps, _ = postselect(bs, hd.post, cfg)
     assert Density(hardy_amps, 100.0).mean() == pytest.approx(-1.0, abs=1e-3)
@@ -315,7 +314,7 @@ def test_sharp_pointer_masses_match_abl():
     # at delta 1e-3 the branches no longer overlap: the mass within 10 delta of each
     # centre is its outcome's ABL probability, and 0 where entangle dropped the branch
     cfg = PointerConfig(delta=1e-3)
-    for sc in (three_box(), hardy()):
+    for sc in (builtin("three-box"), builtin("hardy")):
         for obs in sc.observables.values():
             amps, _ = postselect(entangle(obs, sc.pre, cfg), sc.post, cfg)
             density = pointer_density(amps, cfg)
@@ -434,7 +433,7 @@ def _guide_cdfs():
     """CDFs of the sampled three-box and hardy densities, one whose nodes lie on
     every cell edge, flat runs around a subnormal value, and random ones."""
     cdfs = [_cdf(_three_box_density(delta, coupling)) for delta, coupling in _SAMPLED]
-    sc = hardy()
+    sc = builtin("hardy")
     for name in ("N1", "N3", "N4"):
         for delta in (10.0, 0.1):
             cfg = PointerConfig(delta=delta)
@@ -745,7 +744,7 @@ def test_sample_variance_matches_the_closed_form(delta):
 
 
 def test_estimate_inverts_ready_position_and_coupling():
-    sc = three_box()
+    sc = builtin("three-box")
     cfg = PointerConfig(delta=5.0, x0=2.0, coupling=0.5)
     ens = simulate(sc.observables["C"], sc.pre, sc.post, cfg, n=200000, seed=9)
     estimate = weak_value_estimate(ens, cfg)
@@ -753,7 +752,7 @@ def test_estimate_inverts_ready_position_and_coupling():
 
 
 def test_sharp_eigenstate_estimate_recovers_eigenvalue():
-    sc = three_box()
+    sc = builtin("three-box")
     cfg = PointerConfig(delta=0.05)
     pre = State(CVec.basis_vector("c", sc.basis_labels))
     ens = simulate(sc.observables["C"], pre, pre, cfg, n=20000, seed=4)
@@ -762,7 +761,7 @@ def test_sharp_eigenstate_estimate_recovers_eigenvalue():
 
 
 def test_hardy_pipeline_weak_estimate():
-    hd = hardy()
+    hd = builtin("hardy")
     cfg = PointerConfig(delta=10.0)
     ens = simulate(hd.observables["N1"], hd.pre, hd.post, cfg, n=100000, seed=21)
     assert weak_value_estimate(ens, cfg) == pytest.approx(-1.0, abs=0.25)

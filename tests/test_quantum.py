@@ -1,4 +1,6 @@
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from prepost import (
     CMat,
     CVec,
     NormalizationError,
+    NotFinite,
     NotHermitian,
     Observable,
     Projector,
@@ -17,13 +20,13 @@ from prepost import (
     WeakValueClass,
     abl_probability,
     as_observable,
+    builtin,
     classify,
-    hardy,
     spectral_decompose,
-    three_box,
     weak_value,
 )
 from prepost.linalg import DEGENERACY_TOL
+from prepost.scenarios import BUILTINS
 from prepost.scenfile import (
     ObsDecl, ProjDecl, ScenarioDoc, StateDecl, parse, serialize, to_scenario,
 )
@@ -35,6 +38,7 @@ from conftest import (
     random_state,
     random_state_pair,
     random_vector,
+    states_with_weak_value,
 )
 
 
@@ -47,9 +51,11 @@ def test_state_requires_unit_norm():
         State.normalized(np.array([0.0, 0.0]))
 
 
-@pytest.mark.parametrize("amps", [[np.nan, 0.0], [np.inf, 0.0], [complex(np.inf, np.nan), 0.0]])
+@pytest.mark.parametrize(
+    "amps", [[1.5e308, 1.5e308], [1e308, 1e308, 1e308], [complex(1.5e308, 1.5e308), 0.0]]
+)
 def test_state_rejects_a_non_finite_norm(amps):
-    # a NaN norm compares false with everything, so the check must fail on it
+    # finite amplitudes whose norm is past a double: an infinite norm is not 1
     with pytest.raises(NormalizationError):
         State(CVec(np.array(amps)))
 
@@ -181,8 +187,47 @@ def test_hermiticity_check_is_relative_to_the_largest_entry(scale):
     for bad in (np.nan, np.inf):
         broken = m.copy()
         broken[0, 1] = broken[1, 0] = bad
-        with pytest.raises(NotHermitian):
-            spectral_decompose(CMat(broken))
+        with pytest.raises(NotFinite, match="^entries "):
+            CMat(broken)
+    # finite entries whose modulus is past a double have no finite scale to compare with
+    broken = m.copy()
+    broken[0, 1] = complex(1.5e308, 1.5e308)
+    broken[1, 0] = broken[0, 1].conjugate()
+    with pytest.raises(NotHermitian):
+        spectral_decompose(CMat(broken))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_is_rejected_where_it_enters(bad):
+    labels = ("a", "b")
+    p = Projector.on_labels(labels, ("a",))
+    builders = {
+        "amps": lambda: CVec([bad, 1.0], labels),
+        "entries": lambda: CMat([[1.0, bad], [bad, 0.0]], labels),
+        "q": lambda: Projector(np.array([[bad], [0.0]]), labels),
+        "eigenvalues": lambda: Observable.from_projectors((0.0, bad), (p.complement(), p)),
+    }
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, build in builders.items():
+            with pytest.raises(NotFinite, match=f"^{name} holds a non-finite entry$"):
+                build()
+        with pytest.raises(NotFinite, match="^eigenvalues "):
+            Observable(CMat(np.diag([0.0, 1.0]), labels), (0.0, bad), (p.complement(), p))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+@pytest.mark.parametrize(
+    "factor, wv_class", [(1 - 1e-6, WeakValueClass.SWV), (1 + 1e-6, WeakValueClass.UWV)]
+)
+def test_weak_value_is_sharp_up_to_the_tolerance(scale, factor, wv_class):
+    # the paper's SHARP_TOL of 1e-10 is written here, so a changed table entry fails: a
+    # weak value 1e-10 * factor times the largest |eigenvalue| from the eigenvalue 0
+    pre, post = states_with_weak_value(1e-10 * factor, math.pi / 2 - 1e-5)
+    p = Projector.on_labels(pre.labels, ("a",))
+    report = weak_value(Observable.from_projectors((0.0, scale), (p.complement(), p)), pre, post)
+    assert report.value == pytest.approx(1e-10 * factor * scale, rel=1e-9)
+    assert report.wv_class is wv_class
 
 
 def test_observable_validates_projector_data():
@@ -211,7 +256,7 @@ def test_observable_validates_projector_data():
 
 
 def test_an_outcome_off_the_spectrum_is_an_unknown_eigenvalue():
-    obs = three_box().observables["C"]
+    obs = builtin("three-box").observables["C"]
     message = r"^2\.0 is not an eigenvalue of the observable$"
     for lookup in (obs.outcome_index, obs.projector_for):
         with pytest.raises(UnknownEigenvalue, match=message):
@@ -349,7 +394,7 @@ def test_observable_rejects_a_matrix_its_projectors_contradict():
 def test_matrix_constructor_accepts_every_observable_it_is_given(rng):
     # every observable rebuilt from its own matrix, as perfbench/tracing.py rebuilds
     # the dim-scale ones: builtins, file observables and eigendecompositions
-    observables = [obs for build in (three_box, hardy) for obs in build().observables.values()]
+    observables = [obs for name in BUILTINS for obs in builtin(name).observables.values()]
     observables += to_scenario(parse(diagonal_scenario_text(16, rng))).observables.values()
     for dim, scale in ((2, 1e-9), (5, 1.0), (8, 1e2), (16, 1e3), (8, 1e8)):
         u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]

@@ -1,31 +1,17 @@
-import math
-
 import numpy as np
 import pytest
 
 from prepost import (
     CVec,
     NormalizationError,
-    Observable,
     ParseError,
     Projector,
-    Scenario,
-    State,
-    as_observable,
-    hardy,
-    three_box,
+    builtin,
     weak_value,
 )
 from prepost.linalg import REAL_TOL
-from prepost.scenfile import (
-    ProjDecl,
-    ScenarioDoc,
-    StateDecl,
-    doc_from_scenario,
-    parse,
-    serialize,
-    to_scenario,
-)
+from prepost.scenarios import BUILTINS
+from prepost.scenfile import ScenarioDoc, StateDecl, parse, serialize, to_scenario
 
 from conftest import NESTED_COEFFICIENTS, diagonal_scenario_text, nested_state_text
 
@@ -297,6 +283,16 @@ def test_coefficient_whose_size_overflows_is_not_finite(directive):
     assert (err.value.line, err.value.col) == (7, directive.index("(") + 1)
 
 
+@pytest.mark.parametrize("terms", ["1e308 a + 1e308 a", "- 1e308i a - 1e308i a + 1 b"])
+def test_terms_that_sum_past_a_double_are_one_positioned_error(terms):
+    # each term is finite, but one label's sum is not: no overflow warning, one error
+    text = f"basis a b\nstate psi normalize = {terms}\npre psi\npost psi\n"
+    with pytest.raises(NormalizationError) as err:
+        to_scenario(parse(text))
+    message = "state 'psi' sums a basis label's terms past a double"
+    assert (err.value.line, err.value.args) == (2, (message,))
+
+
 @pytest.mark.parametrize("scale", [1e-12, 1e-6, 1.0, 1e6, 1e12])
 def test_real_spectrum_parses_at_every_scale(scale):
     text = _SMALL_SPECTRUM + f"obs O = {scale!r}*P + {-2 * scale!r}*Q\n"
@@ -366,21 +362,21 @@ obs O = 1*P + 0*Pc
 
 
 def test_doc_round_trip_on_builtins():
-    for build in (three_box, hardy):
-        doc = doc_from_scenario(build())
+    for text, _ in BUILTINS.values():
+        doc = parse(text)
         assert parse(serialize(doc)) == doc
 
 
 def test_serialized_builtins_rebuild_identical_physics():
-    for build in (three_box, hardy):
-        sc = build()
-        sc2 = to_scenario(parse(serialize(doc_from_scenario(sc))), name=sc.name)
-        assert np.allclose(sc2.pre.vec.amps, sc.pre.vec.amps, atol=1e-12)
-        assert np.allclose(sc2.post.vec.amps, sc.post.vec.amps, atol=1e-12)
-        for name, obs in sc.observables.items():
-            assert np.allclose(
-                sc2.observables[name].mat.entries, obs.mat.entries, atol=1e-12
-            )
+    # repr decimals round-trip, so the serialized text rebuilds the builtin's exact doubles
+    for name, (text, _) in BUILTINS.items():
+        sc = builtin(name)
+        sc2 = to_scenario(parse(serialize(parse(text))), name=name)
+        assert np.array_equal(sc2.pre.vec.amps, sc.pre.vec.amps)
+        assert np.array_equal(sc2.post.vec.amps, sc.post.vec.amps)
+        for obs_name, obs in sc.observables.items():
+            assert np.array_equal(sc2.observables[obs_name].v, obs.v)
+            assert sc2.observables[obs_name].eigenvalues == obs.eigenvalues
 
 
 def test_negative_and_complex_coefficients_round_trip():
@@ -472,18 +468,3 @@ def test_lines_end_at_lf_crlf_and_cr(end):
         parse(bad)
     assert (err.value.line, err.value.col) == (3, 43)
 
-
-def test_doc_from_scenario_reads_diagonality_from_the_columns():
-    labels = ("a", "b", "c")
-    pre = State.normalized([1.0, 1.0, 1.0], labels)
-    post = State.normalized([1.0, 0.0, 1.0], labels)
-    c, s = math.cos(0.3), math.sin(0.3) * np.exp(0.7j)
-    rotated = Projector(np.array([[c, -s.conjugate()], [s, c], [0.0, 0.0]]), labels)
-    obs = Observable.from_projectors((0.0, 1.0), (rotated, Projector.on_labels(labels, ("c",))))
-    doc = doc_from_scenario(Scenario("rotated", labels, pre, post, {"X": obs}))
-    # columns rotated within span{a, b} still make the diagonal projector onto a and b
-    assert doc.projs == (ProjDecl("P_X_0", "span", ("a", "b")), ProjDecl("P_X_1", "span", ("c",)))
-    for tilt in (1.0, 1e-7):
-        tilted = as_observable(Projector.onto(CVec(np.array([1.0, tilt, 0.0]), labels)))
-        with pytest.raises(ValueError, match="non-diagonal spectral projector"):
-            doc_from_scenario(Scenario("tilted", labels, pre, post, {"X": tilted}))
