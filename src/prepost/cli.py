@@ -10,10 +10,11 @@ Failures print a single machine-parsable record to stderr:
 
     error kind=ParseError line=3 col=7 msg="expected '=', got 'a'"
 
-Exit codes: 0 success, 1 usage, parse or file error, 2 computation error
-(orthogonal pre/post, a weak value that is not a finite double, impossible
-post-selection, and similar) or a `verify` whose fixture checks fail, which
-prints its record and then `error kind=FixtureMismatch`.
+Exit codes: 0 success; 2 for a `ComputationError` (a quantity undefined for
+this pre/post pair, such as a weak value between orthogonal states) or a
+`verify` whose fixture checks fail, which prints its record and then
+`error kind=FixtureMismatch`; 1 for a usage error and every other
+`PrepostError`, `OSError` or `MemoryError`.
 """
 
 from __future__ import annotations
@@ -24,27 +25,10 @@ import sys
 from typing import Optional
 
 from . import scenarios
-from .errors import (
-    PointerRangeError,
-    PositionedError,
-    PostSelectionImpossible,
-    ScenarioFixtureError,
-    UndefinedABL,
-    UndefinedWeakValue,
-    UndefinedWeight,
-    UnknownEigenvalue,
-)
+from .errors import ComputationError, PositionedError, PrepostError, UnknownEigenvalue
 from .histories import abl_probability, conditional_weight, consistency
 from .quantum import weak_value
 from .scenarios import Scenario
-
-_COMPUTATION_ERRORS = (
-    UndefinedWeakValue,
-    UndefinedABL,
-    UndefinedWeight,
-    PostSelectionImpossible,
-    ScenarioFixtureError,
-)
 
 
 class UsageError(Exception):
@@ -253,19 +237,14 @@ def main(argv=None) -> int:
     except (UsageError, UnknownEigenvalue) as exc:
         _emit_error("Usage", str(exc))
         return 1
-    except PositionedError as exc:
-        msg = exc.args[0] if exc.args else str(exc)
-        _emit_error(type(exc).__name__, msg, line=exc.line, col=exc.col)
-        return 1
-    except (OSError, PointerRangeError) as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return 1
-    except MemoryError as exc:  # numpy raises its own subclass, _ArrayMemoryError
-        _emit_error("MemoryError", str(exc))
-        return 1
-    except _COMPUTATION_ERRORS as exc:
-        _emit_error(type(exc).__name__, str(exc))
-        return 2
+    except (PrepostError, OSError, MemoryError) as exc:
+        # numpy raises its own MemoryError subclass, _ArrayMemoryError
+        kind = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        if isinstance(exc, PositionedError):
+            _emit_error(kind, exc.args[0], line=exc.line, col=exc.col)
+        else:
+            _emit_error(kind, str(exc))
+        return 2 if isinstance(exc, ComputationError) else 1
 
 
 def run():

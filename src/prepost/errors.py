@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit: `scencli` exits 2 on a `ComputationError`,
+1 on every other `PrepostError`."""
 
 from __future__ import annotations
 
@@ -37,14 +38,19 @@ class NormalizationError(PositionedError):
 
 
 class NotFinite(PrepostError, ValueError):
-    """An amplitude, matrix entry, projector column or eigenvalue is NaN or infinite."""
+    """An amplitude, matrix entry, projector column, eigenvalue, pointer centre or weak
+    value to classify is NaN or infinite."""
 
 
 class NotHermitian(PrepostError):
     """Matrix is not Hermitian within tolerance."""
 
 
-class UndefinedWeakValue(PrepostError):
+class ComputationError(PrepostError):
+    """The quantity is undefined for this pre/post pair or fixture table: `scencli` exits 2."""
+
+
+class UndefinedWeakValue(ComputationError):
     """Pre- and post-selection states are orthogonal, or the weak value's quotient is
     not a finite double; no weak value exists."""
 
@@ -53,15 +59,15 @@ class UnknownEigenvalue(PrepostError):
     """Requested outcome is not an eigenvalue of the observable."""
 
 
-class UndefinedABL(PrepostError):
+class UndefinedABL(ComputationError):
     """All transition terms vanish; the ABL probability is undefined."""
 
 
-class UndefinedWeight(PrepostError):
+class UndefinedWeight(ComputationError):
     """Tr[DF] vanishes; the conditional weight is undefined."""
 
 
-class PostSelectionImpossible(PrepostError):
+class PostSelectionImpossible(ComputationError):
     """Post-selected state has no overlap with any measurement branch."""
 
 
@@ -69,7 +75,7 @@ class PointerRangeError(PrepostError, ValueError):
     """delta is too small or too large for the pointer's branch centres."""
 
 
-class ScenarioFixtureError(PrepostError):
+class ScenarioFixtureError(ComputationError):
     """A scenario's stored expectation names an unknown observable or kind."""
 
 

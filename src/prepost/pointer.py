@@ -26,7 +26,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .errors import PointerRangeError, PostSelectionImpossible
-from .linalg import ZERO_RATE_TOL, ZERO_TOL
+from .linalg import ZERO_RATE_TOL, ZERO_TOL, check_finite
 from .quantum import Observable, State
 
 #: Nodes of a density table, and the half-width in deltas of its window around each centre.
@@ -141,6 +141,7 @@ class Density:
         self.delta = delta = float(delta)
         self.centers = np.array([c for c, _ in amps], dtype=float)
         self.alphas = np.array([a for _, a in amps], dtype=complex)
+        check_finite("alphas", self.alphas)  # a non-finite centre fails the reach check
         far = float(np.max(np.abs(self.centers)))
         reach = far + _REACH * delta  # the sampler sums n < 2^64 squares of up to this size
         if not (math.isfinite(reach * reach * 2.0**64) and math.isfinite(1.0 / delta)):

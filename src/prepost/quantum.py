@@ -144,10 +144,9 @@ class Projector:
     @classmethod
     def onto(cls, vec: CVec) -> "Projector":
         """Rank-one projector |v><v| onto a (normalized) vector."""
-        norm = vec.norm()
-        if norm <= ZERO_TOL:
+        if vec.norm() <= ZERO_TOL:
             raise ValueError("cannot project onto the zero vector")
-        return cls((vec.amps / norm)[:, None], vec.labels)
+        return cls(vec.unit().amps[:, None], vec.labels)
 
     @classmethod
     def span(cls, vectors: Sequence[CVec]) -> "Projector":
@@ -325,10 +324,13 @@ def classify(value: complex, eigenvalues: Sequence[float]) -> WeakValueClass:
     the closed eigenvalue range; strange otherwise, including every value
     with a non-negligible imaginary part.  Both tolerances are the spectrum's
     (see `linalg.scaled_tol`), so scaling an observable does not change the class.
+    A NaN or infinite value or eigenvalue raises NotFinite.
     """
     if not eigenvalues:
         raise ValueError("eigenvalue list must be non-empty")
     v = complex(value)
+    check_finite("value", v)
+    check_finite("eigenvalues", eigenvalues)
     sharp, real = scaled_tol(SHARP_TOL, eigenvalues), scaled_tol(REAL_TOL, eigenvalues)
     if any(abs(v - lam) <= sharp for lam in eigenvalues):
         return WeakValueClass.SWV

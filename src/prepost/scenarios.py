@@ -42,7 +42,6 @@ class Expectation(NamedTuple):
 class CheckResult(NamedTuple):
     name: str
     passed: bool
-    detail: str
 
 
 class Scenario:
@@ -74,38 +73,29 @@ class Scenario:
         """Recompute every expected entry; `verify` reports each result."""
         results = []
         for key, exp in self.expected.items():
-            got, extra_ok, detail = self._recompute(exp)
-            passed = abs(got - exp.value) <= EXACT_TOL and extra_ok
-            results.append(
-                CheckResult(
-                    name=key,
-                    passed=passed,
-                    detail=f"expected {exp.value}, got {got}" + detail,
-                )
-            )
+            got, extra_ok = self._recompute(exp)
+            results.append(CheckResult(key, abs(got - exp.value) <= EXACT_TOL and extra_ok))
         return results
 
-    def _recompute(self, exp: Expectation) -> tuple[complex, bool, str]:
+    def _recompute(self, exp: Expectation) -> tuple[complex, bool]:
         if exp.kind == "weak_value":
             report = weak_value(self.observables[exp.observable], self.pre, self.post)
-            ok = exp.wv_class is None or report.wv_class == exp.wv_class
-            return report.value, ok, f" (class {report.wv_class.value})"
+            return report.value, exp.wv_class is None or report.wv_class == exp.wv_class
         if exp.kind == "abl":
             got = abl_probability(
                 self.observables[exp.observable], self.pre, self.post, exp.outcome
             )
-            return complex(got), True, ""
+            return complex(got), True
         if exp.kind == "weight":
             fam = self.family_for(exp.observable)
             got = conditional_weight(fam.e, fam.d, fam.f)
-            return complex(got), True, ""
+            return complex(got), True
         if exp.kind == "functional":
             report = consistency(self.family_for(exp.observable))
-            ok = exp.failure is None or report.failure_mode == exp.failure
-            return report.functional, ok, f" (mode {report.failure_mode.value})"
+            return report.functional, exp.failure is None or report.failure_mode == exp.failure
         if exp.kind == "overlap_sq":
             got = abs(inner(self.post.vec, self.pre.vec)) ** 2
-            return complex(got), True, ""
+            return complex(got), True
         raise ScenarioFixtureError(f"unknown expectation kind {exp.kind!r}")
 
 

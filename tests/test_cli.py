@@ -11,7 +11,7 @@ import pytest
 from prepost import (
     ParseError, PointerConfig, entangle, pointer_density, postselect, scenarios, scenfile,
 )
-from prepost import cli
+from prepost import cli, errors
 from prepost.cli import main
 from prepost.pointer import _CHUNK
 
@@ -398,6 +398,36 @@ def test_memory_error_gives_one_error_record(capsys, monkeypatch, load):
     assert (code, out) == (1, "")
     assert len(err.splitlines()) == 1
     assert err.startswith("error kind=MemoryError msg=")
+
+
+def _library_errors(cls=errors.PrepostError):
+    yield cls
+    for sub in cls.__subclasses__():
+        if sub.__module__ == errors.__name__:
+            yield from _library_errors(sub)
+
+
+@pytest.mark.parametrize("error", sorted(set(_library_errors()), key=lambda cls: cls.__name__),
+                         ids=lambda cls: cls.__name__)
+def test_every_library_error_gives_one_record(capsys, monkeypatch, error):
+    # exit 2 means the quantity is undefined for the pair: the ComputationError family
+    positioned = issubclass(error, errors.PositionedError)
+
+    def fail(*args):
+        raise error("no value here", 4, 9) if positioned else error("no value here")
+
+    monkeypatch.setattr(cli, "weak_value", fail)
+    code, out, err = run_cli(capsys, "weakvalue", "builtin:three-box", "--obs", "C")
+    kind = "Usage" if error is errors.UnknownEigenvalue else error.__name__
+    where = " line=4 col=9" if positioned else ""
+    assert (out, err) == ("", f'error kind={kind}{where} msg="no value here"\n')
+    assert code == (2 if issubclass(error, errors.ComputationError) else 1)
+
+
+def test_the_exit_two_family_is_the_undefined_quantities():
+    family = {cls.__name__ for cls in _library_errors(errors.ComputationError)}
+    assert family == {"ComputationError", "UndefinedWeakValue", "UndefinedABL",
+                      "UndefinedWeight", "PostSelectionImpossible", "ScenarioFixtureError"}
 
 
 def test_parse_error_record_has_position(capsys, tmp_path):

@@ -290,6 +290,21 @@ def test_weight_and_weak_value_share_one_zero_test():
         conditional_weight(e, pre, State(CVec.basis_vector("b", labels)))
 
 
+@pytest.mark.parametrize("factor, defined", [(1 - 1e-6, False), (1 + 1e-6, True)])
+def test_conditional_weight_is_undefined_up_to_the_tolerance(factor, defined):
+    # ZERO_TOL of 1e-12 is written here: an overlap |<f|d>| of 1e-12 * factor
+    labels = ("a", "b")
+    overlap = 1e-12 * factor
+    d = State(CVec.basis_vector("a", labels))
+    f = State(CVec(np.array([overlap, math.sqrt(1.0 - overlap**2)]), labels))
+    e = Projector.on_labels(labels, ("a",))
+    if defined:
+        assert conditional_weight(e, d, f) == pytest.approx(1.0, rel=1e-12)
+    else:
+        with pytest.raises(UndefinedWeight):
+            conditional_weight(e, d, f)
+
+
 def test_conditional_weight_is_squared_weak_value(rng):
     for _ in range(100):
         dim = int(rng.integers(2, 7))

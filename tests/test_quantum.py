@@ -9,10 +9,12 @@ from prepost import (
     BasisMismatch,
     CMat,
     CVec,
+    Density,
     NormalizationError,
     NotFinite,
     NotHermitian,
     Observable,
+    PointerRangeError,
     Projector,
     State,
     UndefinedWeakValue,
@@ -73,6 +75,15 @@ def test_projector_onto_and_complement():
     assert q.amplitude(w, v) == pytest.approx(0.3 - 0.4j)
     empty = Projector.identity(v.labels).complement()  # rank 0: every amplitude is 0
     assert empty.rank == 0 and empty.amplitude(w, v) == 0
+
+
+def test_projector_onto_a_vector_whose_norm_overflows():
+    # |v| of four 1.5e308 entries is past a double; onto normalizes as a State does
+    vec = CVec(np.full(4, 1.5e308))
+    assert np.array_equal(Projector.onto(vec).q[:, 0], State.normalized(vec).vec.amps)
+    assert np.array_equal(Projector.onto(vec).q[:, 0], np.full(4, 0.5))
+    with pytest.raises(ValueError, match="zero vector"):
+        Projector.onto(CVec(np.full(4, 1e-13)))
 
 
 def test_label_projector_complement_takes_identity_columns_without_an_identity():
@@ -201,19 +212,24 @@ def test_hermiticity_check_is_relative_to_the_largest_entry(scale):
 def test_non_finite_input_is_rejected_where_it_enters(bad):
     labels = ("a", "b")
     p = Projector.on_labels(labels, ("a",))
-    builders = {
-        "amps": lambda: CVec([bad, 1.0], labels),
-        "entries": lambda: CMat([[1.0, bad], [bad, 0.0]], labels),
-        "q": lambda: Projector(np.array([[bad], [0.0]]), labels),
-        "eigenvalues": lambda: Observable.from_projectors((0.0, bad), (p.complement(), p)),
-    }
+    builders = [
+        ("amps", lambda: CVec([bad, 1.0], labels)),
+        ("entries", lambda: CMat([[1.0, bad], [bad, 0.0]], labels)),
+        ("q", lambda: Projector(np.array([[bad], [0.0]]), labels)),
+        ("eigenvalues", lambda: Observable.from_projectors((0.0, bad), (p.complement(), p))),
+        ("alphas", lambda: Density([(0.0, bad), (1.0, 1.0)], 1.0)),
+        ("value", lambda: classify(bad, (0.0, 1.0))),
+        ("eigenvalues", lambda: classify(0.5, (bad, 1.0))),
+    ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for name, build in builders.items():
+        for name, build in builders:
             with pytest.raises(NotFinite, match=f"^{name} holds a non-finite entry$"):
                 build()
         with pytest.raises(NotFinite, match="^eigenvalues "):
             Observable(CMat(np.diag([0.0, 1.0]), labels), (0.0, bad), (p.complement(), p))
+        with pytest.raises(PointerRangeError, match="with centres up to"):
+            Density([(bad, 1.0), (1.0, 1.0)], 1.0)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e6])
@@ -263,6 +279,17 @@ def test_an_outcome_off_the_spectrum_is_an_unknown_eigenvalue():
             lookup(2.0)
 
 
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+def test_an_outcome_matches_an_eigenvalue_up_to_the_tolerance(scale):
+    # DEGENERACY_TOL of 1e-8 is written here: an outcome 1e-8 * (1 -+ 1e-6) times the
+    # largest |eigenvalue| away from the eigenvalue 0
+    p = Projector.on_labels(("a", "b"), ("a",))
+    obs = Observable.from_projectors((0.0, scale), (p.complement(), p))
+    assert obs.outcome_index(1e-8 * (1 - 1e-6) * scale) == 0
+    with pytest.raises(UnknownEigenvalue):
+        obs.outcome_index(1e-8 * (1 + 1e-6) * scale)
+
+
 @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e6, 1e12])
 def test_spectrum_tolerances_scale_with_the_spectrum(rng, scale):
     # wv(aA) = a wv(A) and eigh's error is relative to the norm, so scaling an
@@ -307,6 +334,16 @@ def test_classify_trichotomy():
     assert classify(0.5, (0.5, 2.0)) is WeakValueClass.SWV
     with pytest.raises(ValueError):
         classify(1.0, ())
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e6])
+@pytest.mark.parametrize(
+    "factor, wv_class", [(1 - 1e-6, WeakValueClass.UWV), (1 + 1e-6, WeakValueClass.STWV)]
+)
+def test_weak_value_is_real_up_to_the_tolerance(scale, factor, wv_class):
+    # REAL_TOL of 1e-10 is written here: an imaginary part 1e-10 * factor times the largest
+    # |eigenvalue|, on a real part in the middle of the spectrum
+    assert classify(complex(0.5 * scale, 1e-10 * factor * scale), (0.0, scale)) is wv_class
 
 
 def test_weak_value_of_identity_is_one(rng):

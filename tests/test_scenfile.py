@@ -140,6 +140,19 @@ def test_small_norm_slack_is_renormalized():
     assert sc.states["x"].vec.norm() == pytest.approx(1.0, abs=1e-15)
 
 
+@pytest.mark.parametrize("factor, rejected", [(1 - 1e-6, False), (1 + 1e-6, True)])
+def test_declared_norm_holds_up_to_the_tolerance(factor, rejected):
+    # DECLARED_NORM_TOL of 1e-6 is written here: a state without `normalize` of norm
+    # 1 + 1e-6 * factor
+    amp = 1.0 + 1e-6 * factor
+    text = f"basis a b\nstate x = {amp!r} a\npre x\npost x\n"
+    if rejected:
+        with pytest.raises(NormalizationError, match="declare it with 'normalize'"):
+            to_scenario(parse(text))
+    else:
+        assert to_scenario(parse(text)).states["x"].vec.amps.tolist() == [1.0, 0.0]
+
+
 def test_zero_state_is_rejected():
     text = "basis a b\nstate x normalize = 0 a\npre x\npost x\n"
     with pytest.raises(NormalizationError):
