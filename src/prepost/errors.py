@@ -38,8 +38,8 @@ class NormalizationError(PositionedError):
 
 
 class NotFinite(PrepostError, ValueError):
-    """An amplitude, matrix entry, projector column, eigenvalue, pointer centre or weak
-    value to classify is NaN or infinite."""
+    """An amplitude, matrix entry, projector column, eigenvalue, weak value or pointer
+    density's rate is NaN or infinite."""
 
 
 class NotHermitian(PrepostError):

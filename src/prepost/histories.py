@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import UndefinedABL, UndefinedWeight
-from .linalg import CONSISTENCY_TOL, REAL_TOL, ZERO_TOL, check_same_basis, inner
+from .linalg import CONSISTENCY_TOL, REAL_TOL, ZERO_TOL, check_finite, check_same_basis, inner
 from .quantum import Observable, Projector, State
 
 
@@ -88,9 +88,10 @@ def consistency(fam: Family) -> ConsistencyReport:
     b = overlap - a
     functional = a * b.conjugate()
     norm = math.hypot(abs(a), abs(b))  # divided out first, so tiny amplitudes do not underflow
-    r = 2.0 * (abs(a) / norm) * (abs(b) / norm) if norm > ZERO_TOL else 0.0
+    # a NaN norm gives a NaN r, which is not consistent
+    r = 0.0 if norm <= ZERO_TOL else 2.0 * (abs(a) / norm) * (abs(b) / norm)
     consistent = r <= CONSISTENCY_TOL
-    if abs(overlap) <= ZERO_TOL:
+    if not abs(overlap) > ZERO_TOL:
         factor_wv: Optional[complex] = None
         factor_wv_conj: Optional[complex] = None
         mode = _failure_mode(functional)
@@ -121,7 +122,7 @@ def abl_probability(obs: Observable, pre: State, post: State, outcome: float) ->
     terms = np.abs(obs.amplitudes(post.vec, pre.vec)) ** 2
     denom = float(terms.sum())
     # sqrt(denom) is the norm of the amplitudes <post|P_i|pre>, held to the amplitude scale.
-    if math.sqrt(denom) <= ZERO_TOL:
+    if not math.sqrt(denom) > ZERO_TOL:
         raise UndefinedABL(
             "every intermediate outcome is incompatible with this pre/post pair"
         )
@@ -132,11 +133,14 @@ def abl_from_weak_values(wv: complex) -> float:
     """ABL probability of a projector outcome from its weak value alone.
 
     |wv|^2 / (|wv|^2 + |1-wv|^2); valid because projector weak values
-    determine both branch amplitudes up to a common factor.  The denominator
-    is at least 1/2, since |wv| + |1-wv| >= 1.
+    determine both branch amplitudes up to a common factor.  Both moduli are
+    divided by the larger, at least 1/2 since |wv| + |1-wv| >= 1, so neither
+    square overflows.  A NaN or infinite wv raises NotFinite.
     """
-    num = abs(wv) ** 2
-    return num / (num + abs(1.0 - wv) ** 2)
+    check_finite("wv", wv)
+    a, b = abs(wv), abs(1.0 - wv)
+    a, b = a / max(a, b), b / max(a, b)
+    return a * a / (a * a + b * b)
 
 
 def conditional_weight(e: Projector, d: State, f: State) -> float:
@@ -147,6 +151,6 @@ def conditional_weight(e: Projector, d: State, f: State) -> float:
     on consistent families.
     """
     overlap = inner(f.vec, d.vec)
-    if abs(overlap) <= ZERO_TOL:
+    if not abs(overlap) > ZERO_TOL:
         raise UndefinedWeight("Tr[DF] vanishes; conditional weight undefined")
     return abs(e.amplitude(f.vec, d.vec) / overlap) ** 2

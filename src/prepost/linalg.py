@@ -64,6 +64,15 @@ def check_finite(name: str, values) -> None:
         raise NotFinite(f"{name} holds a non-finite entry")
 
 
+def check_orthonormal(q: np.ndarray, message: str) -> None:
+    """ValueError(message) unless max|Q^dagger Q - I| <= EQUAL_TOL.  Columns whose products
+    overflow make a NaN or infinite entry, which fails too."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        defect = np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0)
+    if not defect <= EQUAL_TOL:
+        raise ValueError(message)
+
+
 def index_labels(n: int) -> tuple[str, ...]:
     """Default basis labels "0", "1", ... for unlabeled data."""
     return tuple(str(i) for i in range(n))

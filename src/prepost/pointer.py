@@ -101,7 +101,8 @@ def entangle(obs: Observable, pre: State, cfg: PointerConfig) -> Branches:
     center x0 + coupling * lambda.  Branches of norm at most ZERO_TOL are
     dropped, so an eigenstate input yields a single branch of norm 1.
     """
-    # ||P_k|pre>|| = sqrt <pre|P_k|pre>, read from the amplitudes the post-selection reads
+    # ||P_k|pre>|| = sqrt <pre|P_k|pre>, read from the amplitudes the post-selection reads:
+    # a sum of squared moduli of a unit state's components, so in [0, 1] and never NaN
     kept = np.flatnonzero(np.sqrt(obs.amplitudes(pre.vec, pre.vec).real) > ZERO_TOL)
     with np.errstate(over="ignore"):  # an infinite centre is reported by Density's reach check
         centers = cfg.x0 + cfg.coupling * np.array(obs.eigenvalues)[kept]
@@ -124,7 +125,7 @@ def postselect(
 def _branch_amplitudes(bs: Branches, post: State) -> list[tuple[float, complex]]:
     """[(center, <post|P_k|pre>)] for each branch of bs, read from `Observable.amplitudes`."""
     amps = bs.obs.amplitudes(post.vec, bs.pre.vec)[bs.kept]
-    if not amps.size or np.abs(amps).max() <= ZERO_TOL:
+    if not amps.size or not np.abs(amps).max() > ZERO_TOL:
         raise PostSelectionImpossible(
             "post-selection state is orthogonal to every branch"
         )
@@ -145,15 +146,18 @@ class Density:
         far = float(np.max(np.abs(self.centers)))
         reach = far + _REACH * delta  # the sampler sums n < 2^64 squares of up to this size
         if not (math.isfinite(reach * reach * 2.0**64) and math.isfinite(1.0 / delta)):
-            raise PointerRangeError(f"delta = {delta!r} with centres up to |c| = {far!r}: "
-                                    "1/delta or 2^64 (max|c| + 10 delta)^2 overflows")
+            why = ("delta or a centre is NaN" if math.isnan(reach)
+                   else "1/delta or 2^64 (max|c| + 10 delta)^2 overflows")
+            raise PointerRangeError(f"delta = {delta!r} with centres up to |c| = {far!r}: {why}")
         z = (self.centers[:, None] - self.centers[None, :]) / delta
-        with np.errstate(over="ignore"):  # z * z overflows only where the kernel is 0
-            kernel = np.exp(-(z * z) / 8.0)
         self.mids = (self.centers[:, None] + self.centers[None, :]) / 2.0
-        self.weights = np.real(np.outer(self.alphas.conj(), self.alphas)) * kernel
-        self.rate = float(self.weights.sum())
-        if self.rate <= ZERO_RATE_TOL:
+        # z * z overflows only where the kernel is 0; alphas past 1e154 overflow the rate
+        with np.errstate(over="ignore", invalid="ignore"):
+            kernel = np.exp(-(z * z) / 8.0)
+            self.weights = np.real(np.outer(self.alphas.conj(), self.alphas)) * kernel
+            self.rate = float(self.weights.sum())
+        check_finite("rate", self.rate)
+        if not self.rate > ZERO_RATE_TOL:
             raise PostSelectionImpossible("post-selected state carries no weight")
 
     def mean(self) -> float:
@@ -165,7 +169,9 @@ class Density:
         return float((self.weights * (dev * dev + self.delta**2)).sum() / self.rate)
 
     def mass_between(self, lo: float, hi: float) -> float:
-        """Mass on [lo, hi], from the normal CDF of each pair term."""
+        """Mass on [lo, hi], from the normal CDF of each pair term; ValueError unless lo <= hi."""
+        if not lo <= hi:
+            raise ValueError(f"mass_between needs lo <= hi, got {lo!r} and {hi!r}")
         s, pairs = self.delta * math.sqrt(2.0), zip(self.weights.flat, self.mids.flat)
         total = sum(w * (math.erfc((m - hi) / s) - math.erfc((m - lo) / s)) for w, m in pairs)
         return total / (2.0 * self.rate)

@@ -25,8 +25,8 @@ from .errors import (
 )
 from .linalg import (
     DEGENERACY_TOL, EQUAL_TOL, NORM_TOL, REAL_TOL, SHARP_TOL, ZERO_TOL,
-    CMat, CVec, check_finite, check_same_basis, checked_labels, inner, label_index,
-    scaled_tol,
+    CMat, CVec, check_finite, check_orthonormal, check_same_basis, checked_labels, inner,
+    label_index, scaled_tol,
 )
 
 
@@ -61,8 +61,7 @@ class State:
     ) -> "State":
         """Build a state from raw amplitudes, dividing out the norm."""
         vec = amps if isinstance(amps, CVec) else CVec(np.asarray(amps), tuple(labels))
-        norm = vec.norm()
-        if norm <= ZERO_TOL:
+        if not vec.norm() > ZERO_TOL:
             raise NormalizationError(f"cannot normalize zero vector {label!r}")
         return cls(vec.unit(), label)
 
@@ -90,8 +89,7 @@ class Projector:
             raise DimensionError(f"projector columns must form a matrix, got {q.shape}")
         labels = checked_labels(labels, q.shape[0])
         check_finite("q", q)
-        if np.abs(q.conj().T @ q - np.eye(q.shape[1])).max(initial=0.0) > EQUAL_TOL:
-            raise ValueError("projector columns are not orthonormal")
+        check_orthonormal(q, "projector columns are not orthonormal")
         q.setflags(write=False)
         self.q, self.labels = q, labels
 
@@ -144,7 +142,7 @@ class Projector:
     @classmethod
     def onto(cls, vec: CVec) -> "Projector":
         """Rank-one projector |v><v| onto a (normalized) vector."""
-        if vec.norm() <= ZERO_TOL:
+        if not vec.norm() > ZERO_TOL:
             raise ValueError("cannot project onto the zero vector")
         return cls(vec.unit().amps[:, None], vec.labels)
 
@@ -211,8 +209,9 @@ class Observable:
         _check_hermitian(mat)
         self._set_spectrum(eigenvalues, projectors)
         check_same_basis(self, mat)
-        gap = float(np.max(np.abs(mat.entries - self.mat.entries)))
-        if gap > scaled_tol(EQUAL_TOL, self.eigenvalues):
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the check
+            gap = float(np.max(np.abs(mat.entries - self.mat.entries)))
+        if not gap <= scaled_tol(EQUAL_TOL, self.eigenvalues):
             raise ValueError(f"observable matrix differs from its spectral sum by {gap:.3g}")
         self.projectors = tuple(projectors)
 
@@ -247,8 +246,7 @@ class Observable:
             raise ValueError(
                 f"spectral projector ranks sum to {v.shape[1]}, not to the dimension {v.shape[0]}"
             )
-        if np.max(np.abs(v.conj().T @ v - np.eye(v.shape[0]))) > EQUAL_TOL:
-            raise ValueError("spectral projectors are not mutually orthogonal")
+        check_orthonormal(v, "spectral projectors are not mutually orthogonal")
         v.setflags(write=False)
         self.eigenvalues, self.v, self.labels = tuple(eigenvalues), v, projectors[0].labels
         self.bounds = (0, *itertools.accumulate(p.rank for p in projectors))
@@ -299,8 +297,9 @@ def spectral_decompose(mat: CMat) -> Observable:
     _check_hermitian(mat)
     w, v = np.linalg.eigh(mat.entries)
     merge = scaled_tol(DEGENERACY_TOL, w)
-    cuts = [0, *(np.flatnonzero(np.diff(w) > merge) + 1).tolist(), len(w)]
-    means = np.add.reduceat(w, cuts[:-1]) / np.diff(cuts)
+    with np.errstate(over="ignore"):  # an infinite gap cuts; an infinite mean is NotFinite
+        cuts = [0, *(np.flatnonzero(np.diff(w) > merge) + 1).tolist(), len(w)]
+        means = np.add.reduceat(w, cuts[:-1]) / np.diff(cuts)
     # the Observable checks all of eigh's columns at once, so no block checks its own
     projectors = [Projector._of_checked(v[:, a:b], mat.labels) for a, b in zip(cuts, cuts[1:])]
     return Observable.from_projectors(means.tolist(), projectors)
@@ -356,7 +355,7 @@ def weak_value(op: OperatorLike, pre: State, post: State) -> WeakValueReport:
     if not isinstance(op, (Observable, Projector)):
         raise TypeError(f"expected Observable or Projector, got {type(op).__name__}")
     overlap = inner(post.vec, pre.vec)
-    if abs(overlap) <= ZERO_TOL:
+    if not abs(overlap) > ZERO_TOL:
         raise UndefinedWeakValue(
             "pre- and post-selection states are orthogonal; weak value undefined"
         )

@@ -179,5 +179,4 @@ def builtin(name: str) -> Scenario:
     from . import scenfile  # here, as scenfile imports Scenario from this module
 
     text, expected = BUILTINS[name]
-    sc = scenfile.to_scenario(scenfile.parse(text), name)
-    return Scenario(name, sc.basis_labels, sc.pre, sc.post, sc.observables, expected, sc.states)
+    return scenfile.to_scenario(scenfile.parse(text), name, expected)

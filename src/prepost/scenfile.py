@@ -45,7 +45,7 @@ from .linalg import (
     DECLARED_NORM_TOL, EXACT_TOL, REAL_TOL, ZERO_TOL, CVec, label_index, scaled_tol,
 )
 from .quantum import Observable, Projector, State
-from .scenarios import Scenario
+from .scenarios import Expectation, Scenario
 
 RESERVED = {"basis", "state", "pre", "post", "proj", "obs", "normalize", "span", "sqrt", "i"}
 
@@ -145,6 +145,7 @@ def _complex_value(tok: Token, minus_against: bool) -> complex:
 
 
 def _checked_sqrt(value: complex, tok: Token) -> complex:
+    # a NaN argument passes, and the coefficient it makes fails `_finite_coefficient`
     if abs(value.imag) > EXACT_TOL or value.real < 0:
         raise ParseError("sqrt argument must be a nonnegative real", tok.line, tok.col)
     return complex(math.sqrt(value.real))
@@ -485,8 +486,11 @@ def serialize(doc: ScenarioDoc) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
-    """Resolve a document into a live Scenario (empty fixture set).
+def to_scenario(
+    doc: ScenarioDoc, name: str = "scenario", expected: Optional[dict[str, Expectation]] = None
+) -> Scenario:
+    """Resolve a document into a live Scenario with the fixture table `expected` (none
+    when not given), whose observable names `Scenario` checks.
 
     Errors carry the line `doc.lines` records for the declaration at fault,
     so those of a hand-built document carry none.
@@ -510,7 +514,7 @@ def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
             ) from None
         norm = vec.norm()
         # a `normalize` state may have any scale, so only an exactly zero one is zero
-        if norm <= (0.0 if st.normalize else ZERO_TOL):
+        if not norm > (0.0 if st.normalize else ZERO_TOL):
             raise NormalizationError(f"state {st.name!r} has zero norm", line)
         if not st.normalize and not abs(norm - 1.0) <= DECLARED_NORM_TOL:
             raise NormalizationError(
@@ -568,7 +572,7 @@ def to_scenario(doc: ScenarioDoc, name: str = "scenario") -> Scenario:
         pre=states[doc.pre],
         post=states[doc.post],
         observables=observables,
-        expected={},
+        expected=expected or {},
         states=states,
     )
 

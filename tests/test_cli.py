@@ -59,11 +59,15 @@ def test_weakvalue_hardy_n1_is_strange(capsys):
     assert d["wv.class"] == "STWV"
 
 
-def test_repeat_invocations_are_byte_identical(capsys):
-    argv = ("weakvalue", "builtin:three-box", "--obs", "C")
-    _, first, _ = run_cli(capsys, *argv)
-    _, second, _ = run_cli(capsys, *argv)
-    assert first == second
+def test_repeat_invocations_are_byte_identical(capsys, tmp_path):
+    # simulate too, on a d = 64 file's wide-block span Y and its 64-branch X
+    path = tmp_path / "d64.scn"
+    path.write_text(diagonal_scenario_text(64, np.random.default_rng(64)), encoding="utf-8")
+    for argv in (("weakvalue", "builtin:three-box", "--obs", "C"),
+                 ("simulate", str(path), "--obs", "Y", "--delta", "1", "--n", "1000"),
+                 ("simulate", str(path), "--obs", "X", "--delta", "10", "--n", "1000")):
+        first = run_cli(capsys, *argv)
+        assert first[0] == 0 and run_cli(capsys, *argv) == first, argv
 
 
 def test_abl_three_box(capsys):
@@ -262,6 +266,19 @@ def test_weakvalue_from_serialized_builtin_file(capsys, tmp_path):
     d = kv(out)
     assert d["wv.re"] == "-1"
     assert d["scenario"] == "boxes"
+
+
+@pytest.mark.parametrize("name", sorted(scenarios.BUILTINS))
+def test_a_builtins_text_in_a_file_named_for_it_prints_the_builtins_bytes(capsys, tmp_path, name):
+    # a builtin is its scenario text: read from <name>.scn it is the same scenario
+    # under the same name, so every query of every observable prints the same bytes
+    path = tmp_path / f"{name}.scn"
+    path.write_text(scenarios.BUILTINS[name][0], encoding="utf-8")
+    for obs in scenarios.builtin(name).observables:
+        for command, *options in (("weakvalue",), ("consistency",), ("abl", "--outcome", "1")):
+            expected = run_cli(capsys, command, f"builtin:{name}", "--obs", obs, *options)
+            assert expected[0] == 0, (command, obs)
+            assert run_cli(capsys, command, str(path), "--obs", obs, *options) == expected
 
 
 SIMULATE = ("simulate", "builtin:three-box", "--obs", "C", "--n", "10")
@@ -644,6 +661,31 @@ def test_simulate_prints_no_warnings(flags):
     )
     assert proc.returncode == 0
     assert proc.stderr == ""
+
+
+def test_a_forking_simulate_warns_of_nothing_and_writes_the_bytes_of_one_core(tmp_path):
+    # at n = 4e5 with both CSVs, sample and each writer fork a worker per usable core
+    # but the caller's: any warning a fork or a worker's pipe raises (3.12 warns on forking
+    # a threaded process, dev mode on an unclosed file) reaches stderr, and a child pinned
+    # to one core, which forks nothing, must write the same bytes
+    cores = sorted(os.sched_getaffinity(0))
+    pinned = f"import os; os.sched_setaffinity(0, {{{cores[0]}}}); from prepost.cli import run; run()"
+    runs = {"-W error": ("-W", "error", "-m", "prepost"),
+            "-X dev": ("-X", "dev", "-W", "error", "-m", "prepost"),
+            "one core": ("-W", "error", "-c", pinned)}
+    outputs = {}
+    for run, flags in runs.items():
+        csvs = (tmp_path / f"{run}-samples.csv", tmp_path / f"{run}-density.csv")
+        proc = subprocess.run(
+            [sys.executable, *flags, "simulate", "builtin:hardy", "--obs", "N1", "--n", "400000",
+             "--seed", "1", "--samples-out", str(csvs[0]), "--density-out", str(csvs[1])],
+            capture_output=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b""), run
+        outputs[run] = (proc.stdout, *(path.read_bytes() for path in csvs))
+    assert outputs["-W error"] == outputs["-X dev"] == outputs["one core"]
+    if len(cores) == 1:
+        pytest.skip("one usable core: the three runs agree, but none forked a worker")
 
 
 @pytest.mark.parametrize("warnings", [(), ("-W", "error")])

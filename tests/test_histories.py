@@ -305,6 +305,20 @@ def test_conditional_weight_is_undefined_up_to_the_tolerance(factor, defined):
             conditional_weight(e, d, f)
 
 
+def test_a_nan_amplitude_is_neither_consistent_nor_an_abl_probability(monkeypatch):
+    # no constructor lets a NaN through, so one is injected: the verdict and ABL's zero
+    # test are written so that a NaN fails them, where r = 0 read it as consistent
+    sc, fam = _three_box_family("A")
+    assert consistency(fam).consistent
+    monkeypatch.setattr(Projector, "amplitude", lambda self, bra, ket: complex(math.nan))
+    report = consistency(fam)
+    assert (report.consistent, report.failure_mode) == (False, FailureMode.STRANGE)
+    obs = sc.observables["A"]
+    monkeypatch.setattr(Observable, "amplitudes", lambda self, bra, ket: np.full(2, math.nan))
+    with pytest.raises(UndefinedABL):
+        abl_probability(obs, fam.d, fam.f, 1.0)
+
+
 def test_conditional_weight_is_squared_weak_value(rng):
     for _ in range(100):
         dim = int(rng.integers(2, 7))

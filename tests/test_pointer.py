@@ -571,6 +571,21 @@ def test_samples_out_holds_no_sample_array(monkeypatch, capsys):
     assert peak < n * 8 / 4
 
 
+def test_an_unopenable_samples_out_after_a_fork_is_one_record(monkeypatch, capsys, tmp_path):
+    # two batches and two cores: the writer forks its worker before it opens the file,
+    # so a path in a missing directory is one record, and the worker is waited for
+    _report_cores(monkeypatch, 2)
+    forks = _count_forks(monkeypatch)
+    argv = ["simulate", "builtin:hardy", "--obs", "N1", "--n", str(2 * _WRITE_ROWS), "--seed", "1",
+            "--samples-out", str(tmp_path / "missing" / "x.csv")]
+    assert cli.main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error kind=FileNotFoundError ") and err.count("\n") == 1
+    assert len(forks) == 1
+    _assert_no_child_left()
+
+
 def test_sample_joins_its_workers(monkeypatch, tmp_path):
     _report_cores(monkeypatch, 4)
     recorded = _record_workers(monkeypatch, tmp_path)

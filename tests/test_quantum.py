@@ -10,22 +10,30 @@ from prepost import (
     CMat,
     CVec,
     Density,
+    Family,
     NormalizationError,
     NotFinite,
     NotHermitian,
     Observable,
+    PointerConfig,
     PointerRangeError,
+    PrepostError,
     Projector,
     State,
     UndefinedWeakValue,
     UnknownEigenvalue,
     WeakValueClass,
+    abl_from_weak_values,
     abl_probability,
     as_observable,
     builtin,
     classify,
+    conditional_weight,
+    consistency,
+    simulate,
     spectral_decompose,
     weak_value,
+    weak_value_estimate,
 )
 from prepost.linalg import DEGENERACY_TOL
 from prepost.scenarios import BUILTINS
@@ -60,6 +68,19 @@ def test_state_rejects_a_non_finite_norm(amps):
     # finite amplitudes whose norm is past a double: an infinite norm is not 1
     with pytest.raises(NormalizationError):
         State(CVec(np.array(amps)))
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+@pytest.mark.parametrize("factor, accepted", [(1 - 1e-3, True), (1 + 1e-3, False)])
+def test_a_state_has_unit_norm_up_to_the_tolerance(sign, factor, accepted):
+    # NORM_TOL of 1e-10 is written here: a norm 1 -+ 1e-10 * factor, near 1, so the
+    # margin is 1e-3 of the tolerance and many ulps wide
+    vec = CVec([1.0 + sign * 1e-10 * factor, 0.0], ("a", "b"))
+    if accepted:
+        assert State(vec).vec is vec
+    else:
+        with pytest.raises(NormalizationError, match="expected 1$"):
+            State(vec)
 
 
 def test_projector_onto_and_complement():
@@ -156,6 +177,35 @@ def test_projector_rejects_bad_matrices():
         Projector(np.column_stack([[1.0, 0.0], np.array([1.0, 1.0]) / np.sqrt(2.0)]))
 
 
+def test_columns_whose_products_overflow_are_not_orthonormal():
+    # finite columns whose Gram matrix is all NaN: a check that let a NaN pass took
+    # them as a projector (consistency then called a family with it consistent, and its
+    # weight NaN) and took its columns side by side as an observable's
+    q, labels = np.array([[1e200 + 1e200j, 1e200], [1e200, -1e200 + 1e200j]]), ("a", "b")
+    for cols in (q, q[:, :1], q[:, 1:]):
+        with pytest.raises(ValueError, match="^projector columns are not orthonormal$"):
+            Projector(cols, labels)
+    halves = [Projector._of_checked(q[:, k : k + 1], labels) for k in (0, 1)]
+    with pytest.raises(ValueError, match="^spectral projectors are not mutually orthogonal$"):
+        Observable.from_projectors([0.0, 1.0], halves)
+
+
+@pytest.mark.parametrize("factor, accepted", [(1 - 1e-6, True), (1 + 1e-6, False)])
+def test_columns_are_orthonormal_up_to_the_tolerance(factor, accepted):
+    # EQUAL_TOL of 1e-10 is written here: an off-diagonal Gram entry of 1e-10 * factor,
+    # in a projector's columns and in an observable's columns side by side
+    q, labels = np.array([[1.0, 1e-10 * factor], [0.0, 1.0]]), ("a", "b")
+    columns = [Projector(q[:, k : k + 1], labels) for k in (0, 1)]
+    if accepted:
+        assert np.array_equal(Projector(q, labels).q, q)
+        assert np.array_equal(Observable.from_projectors((0.0, 1.0), columns).v, q)
+    else:
+        with pytest.raises(ValueError, match="^projector columns are not orthonormal$"):
+            Projector(q, labels)
+        with pytest.raises(ValueError, match="^spectral projectors are not mutually orthogonal$"):
+            Observable.from_projectors((0.0, 1.0), columns)
+
+
 def test_spectral_decompose_reconstructs(rng):
     for dim in (2, 3, 5):
         m = random_hermitian(rng, dim)
@@ -228,8 +278,90 @@ def test_non_finite_input_is_rejected_where_it_enters(bad):
                 build()
         with pytest.raises(NotFinite, match="^eigenvalues "):
             Observable(CMat(np.diag([0.0, 1.0]), labels), (0.0, bad), (p.complement(), p))
-        with pytest.raises(PointerRangeError, match="with centres up to"):
+        # the reach check names a NaN centre, and keeps the overflowing centre's record
+        why = "delta or a centre is NaN" if math.isnan(bad) else "1/delta or 2.64 .* overflows"
+        with pytest.raises(PointerRangeError, match=f"with centres up to .*: {why}$"):
             Density([(bad, 1.0), (1.0, 1.0)], 1.0)
+
+
+_AB = ("a", "b")
+_PRE, _POST = State(CVec([0.6, 0.8], _AB)), State(CVec([0.8, 0.6], _AB))
+
+
+def _on_a(lam) -> Observable:
+    """lam |a><a| + 0 |b><b|, its eigenvalues in ascending order."""
+    p = Projector.on_labels(_AB, ("a",))
+    return Observable.from_projectors(*zip(*sorted([(0.0, p.complement()), (lam, p)])))
+
+
+def _from_matrix(lam) -> Observable:
+    """`_on_a(lam)` through the constructor that checks a matrix against its spectral sum."""
+    obs = _on_a(lam)
+    return Observable(obs.mat, obs.eigenvalues, obs.projectors)
+
+
+def _estimate(cfg: PointerConfig, lam=1.0) -> float:
+    return weak_value_estimate(simulate(_on_a(lam), _PRE, _POST, cfg, 10, 0), cfg)
+
+
+def _moments(density: Density) -> tuple:
+    return density.rate, density.mean(), density.variance()
+
+
+def _scenario_doc(x) -> ScenarioDoc:
+    """A hand-built document with x as a state's coefficient and as an eigenvalue."""
+    states = (StateDecl("psi", ((x, "a"), (1.0, "b")), True), StateDecl("phi", ((1.0, "a"),)))
+    return ScenarioDoc(basis=_AB, states=states, pre="psi", post="phi",
+                       projs=(ProjDecl("P", "ketbra", ("a",)), ProjDecl("Q", "ketbra", ("b",))),
+                       obs=(ObsDecl("X", ((x, "P"), (1.0, "Q"))),))
+
+
+#: x goes into one float argument of a public constructor or computation; each returns
+#: the numbers it made.
+_FLOAT_ARGUMENTS = {
+    "CVec": lambda x: CVec([x, 1.0], _AB).amps,
+    "CMat": lambda x: CMat([[x, 0.0], [0.0, 1.0]], _AB).entries,
+    "State": lambda x: State(CVec([x, 0.0], _AB)).vec.amps,
+    "State.normalized": lambda x: State.normalized([x, 1.0], _AB).vec.amps,
+    "Projector": lambda x: Projector(np.array([[x], [0.0]]), _AB).q,
+    "Projector.onto": lambda x: Projector.onto(CVec([x, 1.0], _AB)).q,
+    "Projector.span": lambda x: Projector.span([CVec([x, 1.0], _AB), CVec([1.0, 0.0], _AB)]).q,
+    "Observable.from_projectors": lambda x: _on_a(x).v,
+    "Observable": lambda x: _from_matrix(x).v,
+    "spectral_decompose": lambda x: spectral_decompose(CMat([[x, 1.0], [1.0, -x]], _AB)).v,
+    "classify.value": lambda x: classify(x, (0.0, 1.0)).value,
+    "classify.eigenvalues": lambda x: classify(0.5, (x, 1.0)).value,
+    "weak_value": lambda x: weak_value(_on_a(x), _PRE, _POST)[::2],
+    "abl_probability.outcome": lambda x: abl_probability(_on_a(1.0), _PRE, _POST, x),
+    "abl_probability.eigenvalue": lambda x: abl_probability(_on_a(x), _PRE, _POST, x),
+    "abl_from_weak_values": lambda x: (abl_from_weak_values(x), abl_from_weak_values(x * 1j)),
+    "conditional_weight": lambda x: conditional_weight(_on_a(x).projector_for(x), _PRE, _POST),
+    "consistency": lambda x: consistency(Family(_PRE, _on_a(x).projector_for(x), _POST))[::3],
+    "PointerConfig.delta": lambda x: _estimate(PointerConfig(x)),
+    "PointerConfig.x0": lambda x: _estimate(PointerConfig(1.0, x0=x)),
+    "PointerConfig.coupling": lambda x: _estimate(PointerConfig(1.0, coupling=x)),
+    "simulate.eigenvalue": lambda x: _estimate(PointerConfig(1.0), x),
+    "Density.centre": lambda x: _moments(Density([(x, 1.0), (1.0, 1.0)], 1.0)),
+    "Density.alpha": lambda x: _moments(Density([(0.0, x), (1.0, 1.0)], 1.0)),
+    "Density.delta": lambda x: _moments(Density([(0.0, 1.0), (1.0, 1.0)], x)),
+    "Density.mass_between": lambda x: Density([(0.0, 1.0), (1.0, 1.0)], 1.0).mass_between(-x, x),
+    "to_scenario": lambda x: to_scenario(_scenario_doc(x)).observables["X"].eigenvalues,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLOAT_ARGUMENTS))
+def test_a_non_finite_or_extreme_float_gives_a_typed_error_or_a_finite_result(name):
+    # no NaN, infinity or overflow passes silently: each value is rejected by a typed
+    # error or a ValueError, or what it makes is finite, with every warning an error
+    for x in (math.nan, math.inf, -math.inf, 1e308, 5e-324):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                made = _FLOAT_ARGUMENTS[name](x)
+            except (PrepostError, ValueError):
+                continue
+        numbers = [v for v in np.ravel(np.asarray(made, dtype=object)) if not isinstance(v, str)]
+        assert np.isfinite(np.asarray(numbers, dtype=complex)).all(), (x, made)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e6])
@@ -359,6 +491,20 @@ def test_weak_value_undefined_for_orthogonal_pair():
     p = Projector.onto(CVec(np.array([1.0, 1.0])))
     with pytest.raises(UndefinedWeakValue):
         weak_value(p, pre, post)
+
+
+@pytest.mark.parametrize("factor, defined", [(1 - 1e-6, False), (1 + 1e-6, True)])
+def test_weak_value_is_undefined_up_to_the_tolerance(factor, defined):
+    # ZERO_TOL of 1e-12 is written here: an overlap |<post|pre>| of 1e-12 * factor
+    labels, overlap = ("a", "b"), 1e-12 * factor
+    pre = State(CVec.basis_vector("a", labels))
+    post = State(CVec([overlap, math.sqrt(1.0 - overlap**2)], labels))
+    p = Projector.on_labels(labels, ("a",))
+    if defined:
+        assert weak_value(p, pre, post).value == pytest.approx(1.0, rel=1e-12)
+    else:
+        with pytest.raises(UndefinedWeakValue, match="orthogonal"):
+            weak_value(p, pre, post)
 
 
 def test_weak_value_reports_overlap(rng):

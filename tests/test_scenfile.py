@@ -153,6 +153,17 @@ def test_declared_norm_holds_up_to_the_tolerance(factor, rejected):
         assert to_scenario(parse(text)).states["x"].vec.amps.tolist() == [1.0, 0.0]
 
 
+@pytest.mark.parametrize("factor, rejected", [(1 - 1e-6, False), (1 + 1e-6, True)])
+def test_a_sqrt_argument_is_real_up_to_the_tolerance(factor, rejected):
+    # EXACT_TOL of 1e-12 is written here: an imaginary part of 1e-12 * factor under sqrt
+    text = f"basis a b\nstate x = sqrt(0.36 + {1e-12 * factor!r}i) a + 0.8 b\n"
+    if rejected:
+        with pytest.raises(ParseError, match="sqrt argument must be a nonnegative real"):
+            parse(text)
+    else:
+        assert parse(text).states[0].terms[0] == (0.6, "a")
+
+
 def test_zero_state_is_rejected():
     text = "basis a b\nstate x normalize = 0 a\npre x\npost x\n"
     with pytest.raises(NormalizationError):

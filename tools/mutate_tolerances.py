@@ -31,10 +31,15 @@ COMPARISONS = [
      "outcome_index: outcome matches"),
     ("histories.py", "consistent = r <= CONSISTENCY_TOL", "CONSISTENCY_TOL",
      "consistency: verdict"),
-    ("histories.py", "if abs(overlap) <= ZERO_TOL:\n        raise UndefinedWeight", "ZERO_TOL",
+    ("histories.py", "if not abs(overlap) > ZERO_TOL:\n        raise UndefinedWeight", "ZERO_TOL",
      "conditional_weight: undefined"),
     ("scenfile.py", "abs(norm - 1.0) <= DECLARED_NORM_TOL", "DECLARED_NORM_TOL",
      "to_scenario: declared norm"),
+    ("quantum.py", "abs(norm - 1.0) <= NORM_TOL", "NORM_TOL", "State: unit norm"),
+    ("linalg.py", "if not defect <= EQUAL_TOL", "EQUAL_TOL", "check_orthonormal: orthonormal"),
+    ("quantum.py", "if not abs(overlap) > ZERO_TOL:\n        raise UndefinedWeakValue", "ZERO_TOL",
+     "weak_value: undefined"),
+    ("scenfile.py", "abs(value.imag) > EXACT_TOL", "EXACT_TOL", "sqrt argument: real"),
 ]
 
 
