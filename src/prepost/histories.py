@@ -10,9 +10,9 @@ interference functional Tr[F E D E'] = a * conj(s - a) vanishes; it factors as
     |<f|d>|^2 * wv(e) * conj(wv(1-e))
 
 so consistency holds exactly when the weak value a/s of e is 0 or 1.  The
-functional scales with the overlap, so the verdict is taken on a scale-free
-measure of it instead (see `consistency`).  The conditional weight
-Tr[DEFE]/Tr[DF] is |a/s|^2.
+functional scales with the overlap, so the verdict is the class of that weak
+value instead (see `consistency`): `quantum.classify` gives both at once.
+The conditional weight Tr[DEFE]/Tr[DF] is |a/s|^2.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import UndefinedABL, UndefinedWeight
-from .linalg import CONSISTENCY_TOL, REAL_TOL, ZERO_TOL, check_finite, check_same_basis, inner
-from .quantum import Observable, Projector, State
+from .linalg import ZERO_TOL, check_finite, check_same_basis, inner
+from .quantum import Observable, Projector, State, WeakValueClass, classify
 
 
 class FailureMode(Enum):
@@ -64,11 +64,9 @@ class ConsistencyReport(NamedTuple):
     factor_wv_conj: Optional[complex]
 
 
-def _failure_mode(value: complex) -> FailureMode:
-    """Unsharp when value is real and inside (0, 1), strange otherwise."""
-    if abs(value.imag) <= REAL_TOL and 0.0 < value.real < 1.0:
-        return FailureMode.UNSHARP
-    return FailureMode.STRANGE
+#: The failure mode of a family whose event has a weak value of this class.
+_MODE_OF_CLASS = {WeakValueClass.SWV: FailureMode.NONE, WeakValueClass.UWV: FailureMode.UNSHARP,
+                  WeakValueClass.STWV: FailureMode.STRANGE}
 
 
 def consistency(fam: Family) -> ConsistencyReport:
@@ -76,34 +74,29 @@ def consistency(fam: Family) -> ConsistencyReport:
 
     With a = <f|E|d>, s = <f|d> and b = s - a the functional is a * conj(b),
     and for s != 0 the weak values of e and 1-e are a/s and b/s.  The verdict
-    compares r = 2|a||b| / (|a|^2 + |b|^2) = 2 sqrt(p(1-p)), p the ABL
-    probability of e, with CONSISTENCY_TOL: r does not scale with the overlap
-    and vanishes exactly when the weak value of e is 0 or 1 (r is 0 when
-    neither history has weight).  The failure mode is read from
-    wv(e) conj(1 - wv(e)), real and positive exactly when wv(e) is real and
-    inside (0, 1), or from the functional itself when s = 0.
+    is the `classify` class of a/s against 0 and 1, as `weak_value` gives it:
+    sharp is consistent; unsharp and strange are the failure modes.  For
+    orthogonal endpoints b is about -a and the functional about -|a|^2, so
+    only a family without amplitude is consistent; the rest are strange.
+    A NaN amplitude is never consistent: it raises NotFinite, or is strange.
     """
     a = fam.e.amplitude(fam.f.vec, fam.d.vec)
     overlap = inner(fam.f.vec, fam.d.vec)
     b = overlap - a
-    functional = a * b.conjugate()
-    norm = math.hypot(abs(a), abs(b))  # divided out first, so tiny amplitudes do not underflow
-    # a NaN norm gives a NaN r, which is not consistent
-    r = 0.0 if norm <= ZERO_TOL else 2.0 * (abs(a) / norm) * (abs(b) / norm)
-    consistent = r <= CONSISTENCY_TOL
     if not abs(overlap) > ZERO_TOL:
         factor_wv: Optional[complex] = None
         factor_wv_conj: Optional[complex] = None
-        mode = _failure_mode(functional)
+        empty = math.hypot(abs(a), abs(b)) <= ZERO_TOL
+        mode = FailureMode.NONE if empty else FailureMode.STRANGE
     else:
         factor_wv = a / overlap
         factor_wv_conj = (b / overlap).conjugate()
-        mode = _failure_mode(factor_wv * factor_wv_conj)  # at most 1/4 when real and positive
+        mode = _MODE_OF_CLASS[classify(factor_wv, (0.0, 1.0))]
 
     return ConsistencyReport(
-        functional=functional,
-        consistent=consistent,
-        failure_mode=FailureMode.NONE if consistent else mode,
+        functional=a * b.conjugate(),
+        consistent=mode is FailureMode.NONE,
+        failure_mode=mode,
         factor_overlap_sq=abs(overlap) ** 2,
         factor_wv=factor_wv,
         factor_wv_conj=factor_wv_conj,

@@ -36,15 +36,12 @@ ZERO_RATE_TOL = 1e-24
 #: Eigenvalues this close, times the spectrum's largest |eigenvalue|, are one: spectra merge
 #: them, Observable rejects them, outcomes match.
 DEGENERACY_TOL = 1e-8
-#: A weak value within this of an eigenvalue is sharp (SWV); taken times the spectrum's
-#: largest |eigenvalue|.
+#: A weak value within this of an eigenvalue is sharp (SWV), and a family is consistent when
+#: its event's weak value is; taken times the spectrum's largest |eigenvalue|.
 SHARP_TOL = 1e-10
-#: An imaginary part at or below this is zero (functionals; a weak value's or a file
-#: eigenvalue's is compared with this times the spectrum's largest |eigenvalue|).
+#: An imaginary part at or below this, times the spectrum's largest |eigenvalue|, is zero:
+#: a weak value's (its class) and a scenario file eigenvalue's.
 REAL_TOL = 1e-10
-#: A family is consistent when r = 2|a||s-a| / (|a|^2 + |s-a|^2) is at most this, with
-#: a = <f|E|d> and s = <f|d>: r is scale-free and vanishes when the weak value of E is 0 or 1.
-CONSISTENCY_TOL = 1e-10
 #: A value within this of an exact one is it: a fixture, a real sqrt argument.
 EXACT_TOL = 1e-12
 

@@ -60,15 +60,15 @@ def random_state_pair(rng, dim: int, min_overlap: float = 0.05, real: bool = Fal
             return pre, post
 
 
-def states_with_weak_value(wv: float, alpha: float) -> tuple[State, State]:
+def states_with_weak_value(wv: complex, alpha: float) -> tuple[State, State]:
     """Pre-selection cos(alpha) a + sin(alpha) b and a unit post-selection at which
-    |a><a| has the real weak value wv: <post|a><a|pre> and <post|b><b|pre> are wv and
+    |a><a| has the weak value wv: <post|a><a|pre> and <post|b><b|pre> are wv and
     1 - wv times the overlap, each one product, so wv holds to rounding at any overlap.
     The overlap is near 1 for alpha near pi/2 and near sin(alpha) for small alpha and wv."""
     c, s = math.cos(alpha), math.sin(alpha)
-    overlap = 1.0 / math.hypot(wv / c, (1.0 - wv) / s)
+    overlap = 1.0 / math.hypot(abs(wv) / c, abs(1.0 - wv) / s)
     labels = ("a", "b")
-    post = CVec([wv * overlap / c, (1.0 - wv) * overlap / s], labels)
+    post = CVec(np.conj([wv * overlap / c, (1.0 - wv) * overlap / s]), labels)
     return State(CVec([c, s], labels)), State(post)
 
 

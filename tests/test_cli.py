@@ -871,6 +871,22 @@ def test_consistency_verdict_does_not_scale_with_the_overlap(capsys, tmp_path, p
     assert d["failure_mode"] == mode
 
 
+def test_consistency_is_consistent_exactly_when_the_weak_value_is_sharp(capsys, tmp_path):
+    # wv = 7e-11 lies within SHARP_TOL of 0 but past half of it, where a verdict on
+    # r = 2|a||s-a| / (|a|^2 + |s-a|^2), about 2|wv|, called the family unsharp
+    path = tmp_path / "sharp.scn"
+    path.write_text("basis a b\n"
+                    "state d = 0.7071067811865476 a + 0.7071067811865475 b\n"
+                    "state f = 7.000000000489999e-11 a + 1.0 b\n"
+                    "pre d\npost f\nproj E = |a><a|\nproj Ec = |b><b|\nobs O = 1*E + 0*Ec\n")
+    code, out, _ = run_cli(capsys, "weakvalue", str(path), "--obs", "O")
+    assert (code, kv(out)["wv.class"]) == (0, "SWV")
+    code, out, _ = run_cli(capsys, "consistency", str(path), "--obs", "O")
+    d = kv(out)
+    assert code == 0
+    assert (d["factor.wv.re"], d["consistent"], d["failure_mode"]) == ("7e-11", "true", "None")
+
+
 def test_checks_do_not_rely_on_assert():
     # python -O strips assert statements, so every check must raise itself
     def run_optimized(*argv):

@@ -7,12 +7,14 @@ from prepost import (
     CVec,
     FailureMode,
     Family,
+    NotFinite,
     Observable,
     Projector,
     State,
     UndefinedABL,
     UndefinedWeight,
     UnknownEigenvalue,
+    WeakValueClass,
     abl_from_weak_values,
     abl_probability,
     as_observable,
@@ -169,16 +171,39 @@ NEAR_ONE_AND_TINY_OVERLAP = pytest.mark.parametrize(
 @NEAR_ONE_AND_TINY_OVERLAP
 @pytest.mark.parametrize("factor, consistent", [(1 - 1e-6, True), (1 + 1e-6, False)])
 def test_consistency_verdict_turns_at_the_tolerance(alpha, overlap, factor, consistent):
-    # the paper's CONSISTENCY_TOL of 1e-10 is written here, so a changed table entry fails.
-    # For a real weak value t, r = 2|t||1-t| / (t^2 + (1-t)^2); this t, its small root
-    # without cancellation, puts r at 1e-10 * factor.
-    r = 1e-10 * factor
-    t = r / ((1.0 + r) * (1.0 + math.sqrt(1.0 - 2.0 * r / (1.0 + r))))
-    pre, post = states_with_weak_value(t, alpha)
+    # SHARP_TOL of 1e-10 is written here: the real weak value 1e-10 * factor of |a><a|
+    pre, post = states_with_weak_value(1e-10 * factor, alpha)
     assert abs(inner(post.vec, pre.vec)) == pytest.approx(overlap, rel=1e-3)
     report = consistency(Family(pre, Projector.on_labels(pre.labels, ("a",)), post))
     assert report.consistent is consistent
     assert report.failure_mode is (FailureMode.NONE if consistent else FailureMode.UNSHARP)
+
+
+#: The failure mode of a family whose event's weak value has the class.
+MODE_OF_CLASS = {WeakValueClass.SWV: FailureMode.NONE, WeakValueClass.UWV: FailureMode.UNSHARP,
+                 WeakValueClass.STWV: FailureMode.STRANGE}
+
+
+@pytest.mark.parametrize("overlap", [1.0, 1e-3, 1e-6])
+def test_consistency_agrees_with_the_weak_value_class_at_the_sharp_tolerance(overlap):
+    # weak values SHARP_TOL * (1 -+ 1e-6) from 0 and from 1, and along i: the verdict
+    # is consistent exactly when weak_value calls the weak value of e sharp
+    near = math.asin(min(overlap, 1.0 - 1e-10))  # so sin(near) = overlap < 1
+    e = Projector.on_labels(("a", "b"), ("a",))
+    classes = set()
+    for t in (1e-10 * (1 - 1e-6), 1e-10 * (1 + 1e-6)):
+        for wv in (t, 1 - t, t * 1j):
+            pre, post = states_with_weak_value(wv, near if abs(wv) < 0.5 else math.pi / 2 - near)
+            assert abs(inner(post.vec, pre.vec)) == pytest.approx(overlap, rel=1e-3)
+            wv_class = weak_value(e, pre, post).wv_class
+            report = consistency(Family(pre, e, post))
+            assert report.consistent is (wv_class is WeakValueClass.SWV), (t, wv)
+            assert report.failure_mode is MODE_OF_CLASS[wv_class], (t, wv)
+            if wv != 1 - t:  # 1 - t is t from 1 only to the rounding of the weak value
+                beyond = WeakValueClass.UWV if wv == t else WeakValueClass.STWV
+                assert wv_class is (WeakValueClass.SWV if t < 1e-10 else beyond), (t, wv)
+            classes.add(wv_class)
+    assert classes == set(WeakValueClass)
 
 
 def test_abl_probability_three_box():
@@ -306,17 +331,37 @@ def test_conditional_weight_is_undefined_up_to_the_tolerance(factor, defined):
 
 
 def test_a_nan_amplitude_is_neither_consistent_nor_an_abl_probability(monkeypatch):
-    # no constructor lets a NaN through, so one is injected: the verdict and ABL's zero
-    # test are written so that a NaN fails them, where r = 0 read it as consistent
+    # no constructor lets a NaN through, so one is injected: the weak value's class
+    # rejects it, and the orthogonal-endpoints test and ABL's zero test are written so
+    # that a NaN fails them
     sc, fam = _three_box_family("A")
-    assert consistency(fam).consistent
+    labels = ("a", "b")
+    orthogonal = Family(State(CVec.basis_vector("a", labels)), Projector.on_labels(labels, ("a",)),
+                        State(CVec.basis_vector("b", labels)))
+    assert consistency(fam).consistent and consistency(orthogonal).consistent
     monkeypatch.setattr(Projector, "amplitude", lambda self, bra, ket: complex(math.nan))
-    report = consistency(fam)
+    with pytest.raises(NotFinite):
+        consistency(fam)
+    report = consistency(orthogonal)
     assert (report.consistent, report.failure_mode) == (False, FailureMode.STRANGE)
     obs = sc.observables["A"]
     monkeypatch.setattr(Observable, "amplitudes", lambda self, bra, ket: np.full(2, math.nan))
     with pytest.raises(UndefinedABL):
         abl_probability(obs, fam.d, fam.f, 1.0)
+
+
+@pytest.mark.parametrize("factor, consistent", [(1 - 1e-6, True), (1 + 1e-6, False)])
+def test_orthogonal_endpoints_are_consistent_up_to_the_tolerance(factor, consistent):
+    # ZERO_TOL of 1e-12 is written here: <b|E|a> = -<b|(1-E)|a> of 1e-12 * factor / sqrt 2,
+    # so the two histories' amplitudes have a norm of 1e-12 * factor
+    labels = ("a", "b")
+    eps = 1e-12 * factor / math.sqrt(2.0)
+    e = Projector.onto(CVec(np.array([1.0, eps]), labels))
+    report = consistency(Family(State(CVec.basis_vector("a", labels)), e,
+                                State(CVec.basis_vector("b", labels))))
+    assert report.factor_wv is None
+    assert report.consistent is consistent
+    assert report.failure_mode is (FailureMode.NONE if consistent else FailureMode.STRANGE)
 
 
 def test_conditional_weight_is_squared_weak_value(rng):

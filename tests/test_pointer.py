@@ -141,6 +141,15 @@ def test_entangle_holds_branches_to_the_state_norm_check():
     assert sum(_branch_norms(bs, cfg).values()) == pytest.approx((1 + 8e-11) ** 2, abs=1e-13)
 
 
+@pytest.mark.parametrize("factor, kept", [(1 - 1e-6, [0]), (1 + 1e-6, [0, 1])])
+def test_entangle_drops_a_branch_up_to_the_tolerance(factor, kept):
+    # ZERO_TOL of 1e-12 is written here: a branch P_b|pre> of norm 1e-12 * factor
+    labels, eps = ("a", "b"), 1e-12 * factor
+    obs = as_observable(Projector.on_labels(labels, ("b",)))
+    pre = State(CVec([math.sqrt(1.0 - eps * eps), eps], labels))
+    assert entangle(obs, pre, PointerConfig(delta=1.0)).kept.tolist() == kept
+
+
 def test_entangle_dimension_mismatch():
     sc = builtin("three-box")
     with pytest.raises(DimensionError):
@@ -227,6 +236,36 @@ def test_postselect_impossible_when_orthogonal_to_all_branches():
     bs = entangle(sc.observables["C"], sc.pre, cfg)
     with pytest.raises(PostSelectionImpossible):
         postselect(bs, sc.states["phi_prime"], cfg)
+
+
+@pytest.mark.parametrize("factor, possible", [(1 - 1e-6, False), (1 + 1e-6, True)])
+def test_postselect_is_impossible_up_to_the_tolerance(factor, possible):
+    # ZERO_TOL of 1e-12 is written here: two branches, each of amplitude <post|P_k|pre> of
+    # 1e-12 * factor, whose rate 2e-24 * factor^2 is above ZERO_RATE_TOL either way
+    labels, eps = ("a", "b", "c"), 1e-12 * factor * math.sqrt(2.0)
+    obs = as_observable(Projector.on_labels(labels, ("b",)))
+    pre = State.normalized([1.0, 1.0, 0.0], labels)
+    post = State(CVec([eps, eps, math.sqrt(1.0 - 2.0 * eps * eps)], labels))
+    cfg = PointerConfig(delta=1e-3)
+    bs = entangle(obs, pre, cfg)
+    if possible:
+        amps, rate = postselect(bs, post, cfg)
+        assert [abs(a) for _, a in amps] == pytest.approx([1e-12 * factor] * 2, rel=1e-12)
+        assert rate == pytest.approx(2e-24 * factor**2, rel=1e-12)
+    else:
+        with pytest.raises(PostSelectionImpossible, match="orthogonal to every branch"):
+            postselect(bs, post, cfg)
+
+
+@pytest.mark.parametrize("factor, weighted", [(1 - 1e-6, False), (1 + 1e-6, True)])
+def test_density_carries_weight_up_to_the_tolerance(factor, weighted):
+    # ZERO_RATE_TOL of 1e-24 is written here: one branch whose rate is (1e-12 * factor)^2
+    amps = [(0.0, 1e-12 * factor)]
+    if weighted:
+        assert Density(amps, 1.0).rate == pytest.approx(1e-24 * factor**2, rel=1e-12)
+    else:
+        with pytest.raises(PostSelectionImpossible, match="carries no weight"):
+            Density(amps, 1.0)
 
 
 def test_postselect_rejects_a_post_state_in_another_basis():
@@ -537,7 +576,7 @@ def test_draws_and_moments_do_not_depend_on_core_count(monkeypatch, tmp_path, n)
         assert (runs[4].mean, runs[4].variance) == (runs[1].mean, runs[1].variance)
 
 
-def test_sample_without_keep_samples_holds_no_sample_array(monkeypatch):
+def test_sample_holds_only_its_block_buffers(monkeypatch):
     # one worker holds its block buffers (about 1 MB) whatever n is; an
     # n-long sample array would add n * 8 bytes
     _report_cores(monkeypatch, 1)

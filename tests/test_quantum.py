@@ -61,6 +61,17 @@ def test_state_requires_unit_norm():
         State.normalized(np.array([0.0, 0.0]))
 
 
+@pytest.mark.parametrize("factor, defined", [(1 - 1e-6, False), (1 + 1e-6, True)])
+def test_state_normalizes_up_to_the_tolerance(factor, defined):
+    # ZERO_TOL of 1e-12 is written here: a vector of norm 1e-12 * factor
+    amps = [0.6e-12 * factor, 0.8e-12 * factor]
+    if defined:
+        assert State.normalized(amps).vec.amps == pytest.approx([0.6, 0.8], rel=1e-12)
+    else:
+        with pytest.raises(NormalizationError, match="zero vector"):
+            State.normalized(amps)
+
+
 @pytest.mark.parametrize(
     "amps", [[1.5e308, 1.5e308], [1e308, 1e308, 1e308], [complex(1.5e308, 1.5e308), 0.0]]
 )

@@ -9,7 +9,6 @@ from prepost import (
     builtin,
     weak_value,
 )
-from prepost.linalg import REAL_TOL
 from prepost.scenarios import BUILTINS
 from prepost.scenfile import ScenarioDoc, StateDecl, parse, serialize, to_scenario
 
@@ -287,9 +286,10 @@ def test_complex_eigenvalue_is_rejected_on_the_spectrum_scale():
     # 1e-11i next to eigenvalue 1 lies within REAL_TOL of the spectrum
     doc = parse(_SMALL_SPECTRUM + "obs O = 0.00000000001i*P + 1*Q\n")
     assert doc.obs[0].terms == ((0.0, "P"), (1.0, "Q"))
-    # the bound is REAL_TOL times the largest |eigenvalue|, at every scale
+    # the bound is REAL_TOL times the largest |eigenvalue|, at every scale; its 1e-10 is
+    # written here, so a changed table entry fails
     for scale in (1.0, 1e6):
-        under, over = (REAL_TOL * scale * factor for factor in (1 - 1e-6, 1 + 1e-6))
+        under, over = (1e-10 * scale * factor for factor in (1 - 1e-6, 1 + 1e-6))
         doc = parse(_SMALL_SPECTRUM + f"obs O = {scale!r}*P + {under!r}i*Q\n")
         assert doc.obs[0].terms == ((scale, "P"), (0.0, "Q"))
         with pytest.raises(ParseError, match="eigenvalue for 'Q' must be real"):

@@ -29,8 +29,8 @@ COMPARISONS = [
     ("quantum.py", "scaled_tol(SHARP_TOL, eigenvalues)", "SHARP_TOL", "classify: sharp weak value"),
     ("quantum.py", "match = scaled_tol(DEGENERACY_TOL, self.eigenvalues)", "DEGENERACY_TOL",
      "outcome_index: outcome matches"),
-    ("histories.py", "consistent = r <= CONSISTENCY_TOL", "CONSISTENCY_TOL",
-     "consistency: verdict"),
+    ("histories.py", "math.hypot(abs(a), abs(b)) <= ZERO_TOL", "ZERO_TOL",
+     "consistency: orthogonal endpoints without amplitude"),
     ("histories.py", "if not abs(overlap) > ZERO_TOL:\n        raise UndefinedWeight", "ZERO_TOL",
      "conditional_weight: undefined"),
     ("scenfile.py", "abs(norm - 1.0) <= DECLARED_NORM_TOL", "DECLARED_NORM_TOL",
@@ -40,6 +40,15 @@ COMPARISONS = [
     ("quantum.py", "if not abs(overlap) > ZERO_TOL:\n        raise UndefinedWeakValue", "ZERO_TOL",
      "weak_value: undefined"),
     ("scenfile.py", "abs(value.imag) > EXACT_TOL", "EXACT_TOL", "sqrt argument: real"),
+    ("scenfile.py", "scaled_tol(REAL_TOL, [coeff for coeff, _ in terms])", "REAL_TOL",
+     "obs line: real eigenvalue"),
+    ("pointer.py", "np.sqrt(obs.amplitudes(pre.vec, pre.vec).real) > ZERO_TOL", "ZERO_TOL",
+     "entangle: branch kept"),
+    ("pointer.py", "np.abs(amps).max() > ZERO_TOL", "ZERO_TOL",
+     "postselect: orthogonal to every branch"),
+    ("pointer.py", "self.rate > ZERO_RATE_TOL", "ZERO_RATE_TOL", "Density: carries weight"),
+    ("quantum.py", "if not vec.norm() > ZERO_TOL:\n            raise NormalizationError", "ZERO_TOL",
+     "State.normalized: zero vector"),
 ]
 
 
